@@ -10,8 +10,8 @@ The document grammar:
 
 Objects are sparse {symbol: positive multiplicity} maps; the empty map is
 the zero object.  Table keys join the two symbol names with "|", smaller
-name first.  Serialization is canonical, so digests and reports are
-byte-stable.
+name first, so no symbol name may contain "|".  Serialization is
+canonical, so digests and reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ def parse_document(doc) -> LoadedDocument:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         violations.append("indecomposable names are not distinct")
+    violations += [f"indecomposable name {x!r}: must not contain '|'" for x in names if "|" in x]
 
     def resolve_object(raw: dict, where: str) -> ObjectVec | None:
         vec = [0] * len(names)

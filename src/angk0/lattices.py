@@ -4,11 +4,17 @@ generated abelian groups presented as quotients of Z^r.
 Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries in the normal-form routines can exceed machine words even for small
 inputs, so no fixed-width shortcuts are taken anywhere.
+
+Each normal form has one elimination, which carries companion matrices
+only on request.  `Lattice` and `FgAbelianGroup` use it transform-free;
+only the public `hermite_normal_form` and `smith_normal_form` build the
+unimodular transforms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import InfiniteGroupError, NotWellDefinedError
 
@@ -104,29 +110,49 @@ def apply_matrix(vec, matrix: IntMatrix) -> tuple[int, ...]:
 
 def _row_combine(a, u, r, i, col):
     # Make a[r][col] = gcd(a[r][col], a[i][col]) and a[i][col] = 0 with a
-    # unimodular operation on rows r and i, mirrored on u.
+    # unimodular operation on rows r and i, mirrored on u unless u is None.
     ar, ai = a[r][col], a[i][col]
     if ai == 0:
         return
+    mats = (a,) if u is None else (a, u)
     if ar == 0:
-        a[r], a[i] = a[i], a[r]
-        u[r], u[i] = u[i], u[r]
-        return
-    if ai % ar == 0:
+        for m in mats:
+            m[r], m[i] = m[i], m[r]
+    elif ai % ar == 0:
         q = ai // ar
-        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        return
-    x, y, g = xgcd(ar, ai)
-    p, q = ai // g, ar // g  # det [[x, y], [-p, q]] = (x*ar + y*ai)/g = 1
-    a[r], a[i] = (
-        [x * s + y * t for s, t in zip(a[r], a[i])],
-        [-p * s + q * t for s, t in zip(a[r], a[i])],
-    )
-    u[r], u[i] = (
-        [x * s + y * t for s, t in zip(u[r], u[i])],
-        [-p * s + q * t for s, t in zip(u[r], u[i])],
-    )
+        for m in mats:
+            m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+    else:
+        x, y, g = xgcd(ar, ai)
+        p, q = ai // g, ar // g  # det [[x, y], [-p, q]] = (x*ar + y*ai)/g = 1
+        for m in mats:
+            m[r], m[i] = (
+                [x * s + y * t for s, t in zip(m[r], m[i])],
+                [-p * s + q * t for s, t in zip(m[r], m[i])],
+            )
+
+
+def _hermite_rows(a, cols, u=None):
+    # Bring the row lists a to Hermite normal form in place, mirroring every
+    # row operation on u unless u is None.
+    mats = (a,) if u is None else (a, u)
+    piv = 0
+    for col in range(cols):
+        if piv >= len(a):
+            break
+        for i in range(piv + 1, len(a)):
+            _row_combine(a, u, piv, i, col)
+        if a[piv][col] == 0:
+            continue
+        if a[piv][col] < 0:
+            for m in mats:
+                m[piv] = [-x for x in m[piv]]
+        for i in range(piv):
+            q = a[i][col] // a[piv][col]
+            if q:
+                for m in mats:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[piv])]
+        piv += 1
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -138,51 +164,76 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    piv = 0
-    for col in range(m.cols):
-        if piv >= m.rows:
-            break
-        for i in range(piv + 1, m.rows):
-            _row_combine(a, u, piv, i, col)
-        if a[piv][col] == 0:
-            continue
-        if a[piv][col] < 0:
-            a[piv] = [-x for x in a[piv]]
-            u[piv] = [-x for x in u[piv]]
-        for i in range(piv):
-            q = a[i][col] // a[piv][col]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[piv])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
-        piv += 1
+    _hermite_rows(a, m.cols, u)
     return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
 
 
 def _col_combine(a, v, t, j, row):
     # Column analogue of _row_combine, acting on columns t and j; the same
-    # transformation is applied to the columns of v.
+    # transformation is applied to the columns of v unless v is None.
     at, aj = a[row][t], a[row][j]
     if aj == 0:
         return
+    rows = a if v is None else a + v
     if at == 0:
-        for r in a:
+        for r in rows:
             r[t], r[j] = r[j], r[t]
-        for r in v:
-            r[t], r[j] = r[j], r[t]
-        return
-    if aj % at == 0:
+    elif aj % at == 0:
         q = aj // at
-        for r in a:
+        for r in rows:
             r[j] -= q * r[t]
-        for r in v:
-            r[j] -= q * r[t]
-        return
-    x, y, g = xgcd(at, aj)
-    p, q = aj // g, at // g
-    for r in a:
-        r[t], r[j] = x * r[t] + y * r[j], -p * r[t] + q * r[j]
-    for r in v:
-        r[t], r[j] = x * r[t] + y * r[j], -p * r[t] + q * r[j]
+    else:
+        x, y, g = xgcd(at, aj)
+        p, q = aj // g, at // g
+        for r in rows:
+            r[t], r[j] = x * r[t] + y * r[j], -p * r[t] + q * r[j]
+
+
+def _smith_diagonal(a, cols, u=None, v=None):
+    # Bring the row lists a to Smith normal form in place, mirroring row
+    # operations on u and column operations on v unless they are None, and
+    # return the diagonal.
+    nr, nc = len(a), cols
+    mats = (a,) if u is None else (a, u)
+    for t in range(min(nr, nc)):
+        while True:
+            # Smallest nonzero entry, first in row-major order on ties.
+            pivot = min(
+                ((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
+                default=None,
+            )
+            if pivot is None:
+                break
+            _, pi, pj = pivot
+            if pi != t:
+                for m in mats:
+                    m[t], m[pi] = m[pi], m[t]
+            if pj != t:
+                for r in a if v is None else a + v:
+                    r[t], r[pj] = r[pj], r[t]
+            while True:
+                for i in range(t + 1, nr):
+                    _row_combine(a, u, t, i, t)
+                for j in range(t + 1, nc):
+                    _col_combine(a, v, t, j, t)
+                if not any(a[t][t + 1 :]) and not any(a[i][t] for i in range(t + 1, nr)):
+                    break
+            # Divisibility fix-up: drag in a row holding an entry the corner
+            # does not divide; the corner strictly shrinks, so this ends.
+            offender = next(
+                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]),
+                None,
+            )
+            if offender is None:
+                break
+            for m in mats:
+                m[t] = [x + y for x, y in zip(m[t], m[offender])]
+        if a[t][t] < 0:
+            for m in mats:
+                m[t] = [-x for x in m[t]]
+        if a[t][t] == 0:
+            break
+    return [a[i][i] for i in range(min(nr, nc))]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -192,58 +243,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     diagonal with nonnegative entries satisfying d[i] | d[i+1].
     """
     a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    for t in range(min(nr, nc)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    val = abs(a[i][j])
-                    if val and (best is None or val < best):
-                        best, pivot = val, (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for r in a:
-                    r[t], r[pj] = r[pj], r[t]
-                for r in v:
-                    r[t], r[pj] = r[pj], r[t]
-            while True:
-                for i in range(t + 1, nr):
-                    _row_combine(a, u, t, i, t)
-                for j in range(t + 1, nc):
-                    _col_combine(a, v, t, j, t)
-                if all(a[i][t] == 0 for i in range(t + 1, nr)) and all(
-                    a[t][j] == 0 for j in range(t + 1, nc)
-                ):
-                    break
-            # Divisibility fix-up: drag in a row holding an entry the corner
-            # does not divide; the corner strictly shrinks, so this ends.
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        if a[t][t] == 0:
-            break
-    return IntMatrix(a, cols=nc), IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    _smith_diagonal(a, m.cols, u, v)
+    return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows), IntMatrix(v, cols=m.cols)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -281,10 +284,10 @@ class Lattice:
     __slots__ = ("ambient_rank", "basis", "_pivot_of_col")
 
     def __init__(self, ambient_rank: int, rows=()):
-        mat = IntMatrix(rows, cols=ambient_rank)
-        h, _ = hermite_normal_form(mat)
+        a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
+        _hermite_rows(a, ambient_rank)
         self.ambient_rank = ambient_rank
-        self.basis = tuple(row for row in h.entries if any(row))
+        self.basis = tuple(tuple(row) for row in a if any(row))
         self._pivot_of_col = {}
         for idx, row in enumerate(self.basis):
             col = next(j for j, x in enumerate(row) if x)
@@ -322,16 +325,14 @@ class Lattice:
         return Lattice(self.ambient_rank, self.basis + tuple(tuple(r) for r in rows))
 
     def is_full(self) -> bool:
-        return self.basis == IntMatrix.identity(self.ambient_rank).entries
+        # A Hermite basis of full rank with unit pivots is the identity.
+        return self.index_in_ambient() == 1
 
     def index_in_ambient(self) -> int | None:
         """[Z^r : L] when L has full rank, else None."""
         if self.rank != self.ambient_rank:
             return None
-        result = 1
-        for i, row in enumerate(self.basis):
-            result *= row[i]
-        return result
+        return math.prod(row[i] for i, row in enumerate(self.basis))
 
     def __eq__(self, other):
         return (
@@ -365,8 +366,7 @@ class FgAbelianGroup:
     def __init__(self, relations: Lattice):
         self.relations = relations
         self.ambient_rank = relations.ambient_rank
-        d, _, _ = smith_normal_form(IntMatrix(relations.basis, cols=self.ambient_rank))
-        diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+        diag = _smith_diagonal([list(row) for row in relations.basis], self.ambient_rank)
         self.invariant_factors = tuple(x for x in diag if x > 1)
         self.free_rank = self.ambient_rank - relations.rank
         # (pivot column, row) pairs in increasing column order; later rows
@@ -383,10 +383,7 @@ class FgAbelianGroup:
     def order(self) -> int | None:
         if not self.is_finite:
             return None
-        result = 1
-        for f in self.invariant_factors:
-            result *= f
-        return result
+        return math.prod(self.invariant_factors)
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical coset representative of a vector in Z^r."""

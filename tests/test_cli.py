@@ -61,6 +61,12 @@ class TestValidate:
         assert code == 2
         assert any("n must be >= 3" in v for v in doc["results"]["violations"])
 
+    def test_pipe_in_name(self, tmp_path, capsys):
+        bad = dict(F2, indecomposables=["a|x"], suspension={"a|x": "a|x"}, tensor=None)
+        code, doc = run_json(["validate", write(tmp_path, "pipe.json", bad)], capsys)
+        assert code == 2
+        assert any("must not contain '|'" in v for v in doc["results"]["violations"])
+
     def test_malformed(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

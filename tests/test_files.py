@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angk0.files import (
     ParseError,
@@ -11,6 +12,8 @@ from angk0.files import (
     parse_object_literal,
     serialize,
 )
+from angk0.presentations import Angle, Presentation, Suspension
+from angk0.tensor import TensorPresentation
 
 G1_DOC = {
     "n": 3,
@@ -72,6 +75,21 @@ class TestParse:
         loaded = parse_document(doc)
         assert any("smaller name" in v for v in loaded.violations)
 
+    def test_pipe_in_name_is_violation(self):
+        # "a|x" would make the table key "a|x|a|x", which cannot be split
+        doc = {
+            "n": 3,
+            "indecomposables": ["a|x"],
+            "suspension": {"a|x": "a|x"},
+            "angles": [],
+            "tensor": {"unit": {"a|x": 1}, "table": {"a|x|a|x": {"a|x": 1}}},
+        }
+        loaded = parse_document(doc)
+        assert loaded.presentation is None
+        assert "indecomposable name 'a|x': must not contain '|'" in loaded.violations
+        del doc["tensor"]
+        assert parse_document(doc).presentation is None
+
     def test_shape_errors_raise(self):
         with pytest.raises(ParseError):
             parse_document([])
@@ -108,6 +126,43 @@ class TestRoundTrip:
         loaded = parse_document(G1_DOC)
         text = canonical_json(serialize(loaded.presentation))
         assert json.loads(text) == serialize(loaded.presentation)
+
+
+@st.composite
+def presentations_with_tensor(draw):
+    """A presentation with random names (no "|"), suspension and angles,
+    plus a complete tensor table."""
+    names = draw(
+        st.lists(st.text(max_size=3).filter(lambda x: "|" not in x), max_size=4, unique=True)
+    )
+    rank = len(names)
+    images = draw(st.permutations(range(rank)))
+    n = draw(st.integers(3, 6))
+    obj = st.tuples(*[st.integers(0, 3)] * rank)
+    angles = draw(st.lists(st.tuples(*[obj] * n), max_size=3))
+    p = Presentation(
+        n=n,
+        indec_names=tuple(names),
+        suspension=Suspension(tuple(images)),
+        angles=tuple(Angle(vs) for vs in angles),
+    )
+    table = {(i, j): draw(obj) for i in range(rank) for j in range(i, rank)}
+    return p, TensorPresentation(p, table, draw(obj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations_with_tensor())
+def test_parse_inverts_serialize(case):
+    p, t = case
+    doc = serialize(p, t)
+    loaded = parse_document(json.loads(canonical_json(doc)))
+    assert not loaded.violations
+    assert loaded.presentation == p
+    assert loaded.tensor.unit == t.unit
+    for i in range(p.rank):
+        for j in range(p.rank):
+            assert loaded.tensor.product_basis(i, j) == t.product_basis(i, j)
+    assert serialize(loaded.presentation, loaded.tensor) == doc
 
 
 class TestLiterals:

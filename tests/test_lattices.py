@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from angk0.errors import InfiniteGroupError, NotWellDefinedError
 from angk0.lattices import (
+    FgAbelianGroup,
     IntMatrix,
     Lattice,
     determinant,
@@ -345,3 +349,53 @@ def test_subgroup_requires_containment():
     g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
     with pytest.raises(ValueError):
         Subgroup(g, Lattice(2, [(3, 0)]))
+
+
+@st.composite
+def relation_matrices(draw, max_dim=6):
+    """(cols, rows): tall, square and short integer matrices, with entries
+    small or up to 2^40, sometimes holding a zero row or a row that is a
+    combination of two others (rank deficient)."""
+    cols = draw(st.integers(1, max_dim))
+    bound = draw(st.sampled_from([4, 2**40]))
+    entry = st.integers(-bound, bound)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=max_dim))
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(entry), draw(entry)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return cols, rows
+
+
+class TestTransformFreeCore:
+    """Lattice and FgAbelianGroup skip the transforms; their results must
+    match the transform-carrying public forms and independent oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices())
+    def test_lattice_basis_is_hermite_form(self, case):
+        cols, rows = case
+        lattice = Lattice(cols, rows)
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=cols))
+        assert [list(r) for r in lattice.basis] == nonzero_rows(h)
+        assert lattice.is_full() == (lattice.basis == IntMatrix.identity(cols).entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices())
+    def test_invariant_factors_match_sympy(self, case):
+        cols, rows = case
+        group = FgAbelianGroup(Lattice(cols, rows))
+        diag = sympy_invariant_factors(Matrix(rows), domain=ZZ) if rows else ()
+        assert group.invariant_factors == tuple(int(x) for x in diag if x > 1)
+        assert group.free_rank == cols - (Matrix(rows).rank() if rows else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices(max_dim=3))
+    def test_invariant_factors_match_minors(self, case):
+        cols, rows = case
+        group = FgAbelianGroup(Lattice(cols, rows))
+        expected = [x for x in invariant_factors_by_minors(rows) if x > 1]
+        assert list(group.invariant_factors) == expected
