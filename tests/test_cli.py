@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from angk0.cli import main
 
@@ -334,3 +337,264 @@ class TestDeterminism:
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+C_NOT_WELL_DEFINED = dict(C_SINGLE, angles=[[{"c": 1}, {"c": 2}, {}, {"c": 1}]])
+
+COMPONENTWISE = {
+    "n": 3,
+    "indecomposables": ["a", "b"],
+    "suspension": {"a": "a", "b": "b"},
+    "angles": [],
+    "tensor": {
+        "unit": {"a": 1, "b": 1},
+        "table": {"a|a": {"a": 1}, "a|b": {}, "b|b": {"b": 1}},
+    },
+}
+
+GOLDEN_FILES = {
+    "g1.json": G1,
+    "f2.json": F2,
+    "t.json": T_SWAP,
+    "c.json": C_SINGLE,
+    "c_bad.json": C_NOT_WELL_DEFINED,
+    "t3.json": dict(T_SWAP, indecomposables=["p", "q", "s"],
+                    suspension={"p": "q", "q": "p", "s": "s"}),
+    "arity.json": dict(G1, n=2),
+    "unknown.json": dict(G1, angles=[[{"zz": 1}, {}, {}]]),
+    "broken.json": "{",
+    "comp.json": COMPONENTWISE,
+    "bad_table.json": dict(
+        COMPONENTWISE,
+        angles=[[{"a": 1}, {}, {}]],
+        tensor={"unit": {"a": 1},
+                "table": {"a|a": {"a": 1}, "a|b": {"b": 1}, "b|b": {"a": 1}}},
+    ),
+    "even_ring.json": dict(F2, n=4),
+    "graded.json": dict(
+        T_SWAP,
+        tensor={"unit": {"p": 1},
+                "table": {"p|p": {"p": 1}, "p|q": {"q": 1}, "q|q": {"p": 1}}},
+    ),
+    "id.map": {"p": "p", "q": "q"},
+    "c_p.map": {"c": "p"},
+    "c_zz.map": {"c": "zz"},
+    "broken.map": "{",
+    "list.map": ["c"],
+}
+
+# One run per report branch of every command.
+GOLDEN_RUNS = {
+    "validate-valid": ["validate", "g1.json"],
+    "validate-invalid": ["validate", "arity.json"],
+    "validate-parse-error": ["validate", "broken.json"],
+    "k0": ["k0", "g1.json"],
+    "k0-invalid-file": ["k0", "unknown.json"],
+    "k0-invalid-presentation": ["k0", "arity.json"],
+    "classify-ok": ["classify", "g1.json"],
+    "classify-even-n": ["classify", "c.json"],
+    "classify-infinite": ["classify", "t.json"],
+    "classify-order-bound": ["classify", "g1.json", "--max-order", "2"],
+    "ring-ok": ["ring", "comp.json"],
+    "ring-field": ["ring", "f2.json"],
+    "ring-missing-block": ["ring", "g1.json"],
+    "ring-invalid-table": ["ring", "bad_table.json"],
+    "ring-even-n": ["ring", "even_ring.json"],
+    "ring-infinite": ["ring", "graded.json"],
+    "hom-ok": ["hom", "t.json", "t.json", "id.map"],
+    "hom-not-surjective": ["hom", "t3.json", "c.json", "c_p.map"],
+    "hom-not-well-defined": ["hom", "t.json", "c_bad.json", "c_p.map"],
+    "hom-invalid-embedding": ["hom", "t.json", "c.json", "c_zz.map"],
+    "hom-bad-map-json": ["hom", "t.json", "c.json", "broken.map"],
+    "hom-bad-map-shape": ["hom", "t.json", "c.json", "list.map"],
+    "witness-found": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}'],
+    "witness-not-found": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}',
+                          "--bound", "0"],
+    "witness-unequal": ["witness", "c.json", "--left", '{"c": 1}', "--right", '{"c": 2}'],
+    "witness-bad-literal": ["witness", "f2.json", "--left", '{"zz": 1}', "--right", "{}"],
+}
+
+
+def run_golden(case, as_json, tmp_path, monkeypatch, capsys):
+    """(sha256 of stdout, stderr, exit code) of one golden run."""
+    monkeypatch.chdir(tmp_path)
+    for name, doc in GOLDEN_FILES.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code = main(GOLDEN_RUNS[case] + (["--json"] if as_json else ["--text"]))
+    out, err = capsys.readouterr()
+    return hashlib.sha256(out.encode("utf-8")).hexdigest(), err, code
+
+
+# (sha256 of text stdout, sha256 of --json stdout, stderr, exit code), recorded
+# before the runner refactor of the CLI; reports must stay byte-identical.
+GOLDEN = {
+    "validate-valid": (
+        "91362d53545b60240003ca6ec942f054790821f7d6049d70aa3c92c009f84762",
+        "1f36ffa646e64a3b12557de0cc1721e6719dd116ac8f4cb8d970d0fc5a3550f5",
+        "",
+        0,
+    ),
+    "validate-invalid": (
+        "b23e8604bc9b9e4a9f7ecbc5c8292284a4c4614a4dab5de8ac345ff0961c5dbf",
+        "de8c0628c2c3751a7374416802034242887d34c2cd1dba70452b3e35d466a1a1",
+        "",
+        2,
+    ),
+    "validate-parse-error": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: broken.json: invalid JSON at line 1:"
+        " Expecting property name enclosed in double quotes\n",
+        1,
+    ),
+    "k0": (
+        "5aba2e2c0e56ddff1a340faf8b7a33fb71c0220b8f0cd1b601990647d52361c6",
+        "8ca7d5e142a2bb26e79762f544d54a819dbc66df56863b923ce26725f5d9516f",
+        "",
+        0,
+    ),
+    "k0-invalid-file": (
+        "a983dfd8529edf2d7c0742e2a3f430eb0295d87ba2d18ad2d8db33ec4d78a4d1",
+        "3ea58af8d3e6ad02eeff64d302fc909aa7631d883e898e9a55ffebfe232e060c",
+        "",
+        2,
+    ),
+    "k0-invalid-presentation": (
+        "7a74a013f012834ab963829a077afc6dc25c2ebc6c0fd23c3729c53575e80b23",
+        "fd85a5d7dc5fca4be9af1533a82eb08b9d72c3d6f52acff840476e9cebf02cf2",
+        "",
+        2,
+    ),
+    "classify-ok": (
+        "17223d64246bf18a21d57901b77ab3ee661203d66f0df05a09388cdd2c34a9d4",
+        "e5713c15dbeec0c0cab954a8cc7a04ec66aa55fc2ceb6a6904eada4929a8d8b2",
+        "",
+        0,
+    ),
+    "classify-even-n": (
+        "82edefe70b8e318cedfe1eec502628014d5dc2d7876bac57102f0b90b72fc9af",
+        "f3d43154ed61ff5241ccfc4cf68fe260c0f53b654d8ca0de0e989d42591d4a06",
+        "",
+        3,
+    ),
+    "classify-infinite": (
+        "3a1b00901365a59cfcf1d6beb5eca8e1ec910953ded89873ddd40a86bbb48a0e",
+        "5e01df91623d5b6cef813744351ec50e673d98f78152e0950393d342f2ceced3",
+        "",
+        3,
+    ),
+    "classify-order-bound": (
+        "be4cb795a01a7a02c16fe59cc2624cdbdd561d92d04ec0efc5d7b7c101f34a3e",
+        "0fa78e4ba68fd703c7cd111b1b41b82b9778b2879f99b96b91c54224b2461e99",
+        "",
+        3,
+    ),
+    "ring-ok": (
+        "efc85e24b208a59baeed1b5bdbc32185952a5edc18b514aa9cfa1e822fe78a0d",
+        "9edc70144f25ad85b88bd25dfa32cb63aa6effbafb782cde2943830cfc782921",
+        "",
+        0,
+    ),
+    "ring-field": (
+        "3e125f99e2e71d81d4269c28a388f3cef1f1f1a95a6183cf65127f3bde669e1a",
+        "ba1edfc123a0681dcc1d4d60ed1e32267b091abce46fb456c9e72165a7744c81",
+        "",
+        0,
+    ),
+    "ring-missing-block": (
+        "3d893892562d773e1e00e9188cce6500204fc091fd037fb005e280715a97e132",
+        "5c368bcf3ff5520790abbda841469a2ce3f0361f1bb0cf06359a5ebb52426f13",
+        "",
+        2,
+    ),
+    "ring-invalid-table": (
+        "7edfe69a16c403a11e19b469c68027025e52c25abc956f2181663fb3b5d18363",
+        "1348de748af1848841f0f40cd92acc370ec3af094adc6c74d378a8c795162287",
+        "",
+        2,
+    ),
+    "ring-even-n": (
+        "82edefe70b8e318cedfe1eec502628014d5dc2d7876bac57102f0b90b72fc9af",
+        "f4f4e5d95328ee37caad0ddd502a281e2a0035f00e47098ec1f14682a805badf",
+        "",
+        3,
+    ),
+    "ring-infinite": (
+        "3a1b00901365a59cfcf1d6beb5eca8e1ec910953ded89873ddd40a86bbb48a0e",
+        "07d75d0dbce046dca595b6d93f571672114777bf0ef4cee6f2ebc98775fd6088",
+        "",
+        3,
+    ),
+    "hom-ok": (
+        "b76b0a2afbcf77b9a0347c43e4433c113861f4a101f1e6c56e6fdf81e501fe89",
+        "553f629cfa8616816951d7bef634b627f7b0ed321b1414b00341695f1bf178b8",
+        "",
+        0,
+    ),
+    "hom-not-surjective": (
+        "52b2e247dbb31067986180288242161f2cb8a86084dcf9035bd4e943a3a3d3da",
+        "4fe54acb66e9958dcb170c06bb769d5de860fbcc22b6610001d4772a4ff17b0c",
+        "",
+        0,
+    ),
+    "hom-not-well-defined": (
+        "de22ae332899277faaa876f9890940e72eaffca65a872bbd8824ccf8c4599fd0",
+        "e8548e326be98254a107a1932498b161c65893f05a9367976f625bb631764b6c",
+        "",
+        3,
+    ),
+    "hom-invalid-embedding": (
+        "06235e60e12dee4cb36e96cd5643b7f3bafa0d847d129817f412df0210ffd46a",
+        "62b68ae0d14943c7a8b32018e9a8eeab634653e04c07440126418d6f14cb1a00",
+        "",
+        2,
+    ),
+    "hom-bad-map-json": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: broken.map: invalid JSON: Expecting property name enclosed in double quotes\n",
+        1,
+    ),
+    "hom-bad-map-shape": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: map file must be a string-to-string object\n",
+        1,
+    ),
+    "witness-found": (
+        "e14936ab32a26abfc901d67407eec1f878d4e334d31f68d35a06e9ef1ccae331",
+        "c27585a046c85106f31e8c458e53b5c96c4a59858cb388fb2c14a32eb7f64f79",
+        "",
+        0,
+    ),
+    "witness-not-found": (
+        "0d03051048c5168b7ab5ccd79740620615045158ad77fea0e5fd281b5d56f0e1",
+        "d40a7ffd3672d5c8d08765c640841ddcb5da365c122f418375c8330d5fdef4ce",
+        "",
+        0,
+    ),
+    "witness-unequal": (
+        "0dc6488fc42d15f1cc6550ecb90f01be4f046a2381c411c78038f0eb31b58012",
+        "9ca69398cd18bb62f273e109ec9a10158cd3a689e5f689f1857e0b7c234b6247",
+        "",
+        0,
+    ),
+    "witness-bad-literal": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: unknown symbol 'zz'\n",
+        2,
+    ),
+}
+
+
+class TestGolden:
+    def test_every_branch_is_covered(self):
+        assert set(GOLDEN) == set(GOLDEN_RUNS)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+    def test_byte_identical(self, case, tmp_path, monkeypatch, capsys):
+        text_sha, json_sha, stderr, code = GOLDEN[case]
+        assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
+        assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
