@@ -22,10 +22,11 @@ from .errors import (
     NotWellDefinedError,
 )
 from .embeddings import Embedding, induced_hom, validate_embedding
+from .files import object_json
 from .k0 import Witness, equal_classes, k0, witness_search
 from .lattices import is_surjective
 from .presentations import validate_presentation
-from .tensor import ring, validate_tensor, verify_tensor_correspondence
+from .tensor import validate_tensor, verify_tensor_correspondence
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -48,25 +49,26 @@ def _thread_cap() -> int | None:
     return value
 
 
-def _document(command: str, digests: dict, results: dict) -> dict:
-    return {
-        "schema_version": files.SCHEMA_VERSION,
-        "command": command,
-        "digest": digests,
-        "results": results,
-    }
+class _Stop(Exception):
+    """Ends a command early; its args are what the command would return.
+
+    Those are (digests, results, lines, exit code).  When results is None
+    the lines go to stderr and no report is printed.
+    """
 
 
-def _emit(args, document: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def invalid(header: str, violations, digests: dict) -> _Stop:
+    lines = [header] + [f"  - {v}" for v in violations]
+    return _Stop(digests, {"valid": False, "violations": list(violations)}, lines, EXIT_VALIDATION)
 
 
-def _object_json(p, vec) -> dict:
-    return {p.indec_names[i]: vec[i] for i in range(p.rank) if vec[i]}
+def refuse(reason: str, digests: dict) -> _Stop:
+    return _Stop(digests, {"verified": False, "reason": reason}, [f"unsupported: {reason}"],
+                 EXIT_UNSUPPORTED)
+
+
+def _error(message, code: int) -> _Stop:
+    return _Stop({}, None, [f"error: {message}"], code)
 
 
 def _object_text(p, vec) -> str:
@@ -85,39 +87,32 @@ def _cert_json(p, cert) -> dict:
     if cert.fails and cert.witness is not None:
         angle, missing = cert.witness
         out["counterexample"] = {
-            "vertices": [_object_json(p, v) for v in angle.vertices],
+            "vertices": [object_json(p.indec_names, v) for v in angle.vertices],
             "missing_vertex": missing + 1,
         }
     return out
 
 
-def _load(args, path):
-    """Load a presentation file, or print a report and return an exit code."""
+def _read(path):
     try:
-        loaded = files.load_path(path)
+        return files.load_path(path)
     except files.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise _error(exc, EXIT_PARSE)
+
+
+def _load(path):
+    """Load a presentation file that passes validation, else stop."""
+    loaded = _read(path)
     if loaded.violations:
-        doc = _document(args.command, {}, {"valid": False, "violations": list(loaded.violations)})
-        _emit(args, doc, ["invalid presentation file:"] + [f"  - {v}" for v in loaded.violations])
-        return None, EXIT_VALIDATION
+        raise invalid("invalid presentation file:", loaded.violations, {})
     report = validate_presentation(loaded.presentation)
     if report.violations:
-        doc = _document(
-            args.command, {}, {"valid": False, "violations": list(report.violations)}
-        )
-        _emit(args, doc, ["invalid presentation:"] + [f"  - {v}" for v in report.violations])
-        return None, EXIT_VALIDATION
-    return loaded, EXIT_OK
+        raise invalid("invalid presentation:", report.violations, {})
+    return loaded
 
 
-def cmd_validate(args) -> int:
-    try:
-        loaded = files.load_path(args.path)
-    except files.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_validate(args):
+    loaded = _read(args.path)
     violations = list(loaded.violations)
     parity = None
     classification = False
@@ -145,14 +140,11 @@ def cmd_validate(args) -> int:
     else:
         lines.append(f"valid ({parity} n; classification "
                      f"{'applies' if classification else 'does not apply'})")
-    _emit(args, _document("validate", digests, results), lines)
-    return EXIT_OK if not violations else EXIT_VALIDATION
+    return digests, results, lines, EXIT_OK if not violations else EXIT_VALIDATION
 
 
-def cmd_k0(args) -> int:
-    loaded, code = _load(args, args.path)
-    if loaded is None:
-        return code
+def cmd_k0(args):
+    loaded = _load(args.path)
     p = loaded.presentation
     result = k0(p)
     group = result.group
@@ -176,34 +168,21 @@ def cmd_k0(args) -> int:
     lines.extend(f"  {list(r)}" for r in result.relation_lattice.basis)
     lines.append("classes of indecomposables:")
     lines.extend(f"  [{name}] = {classes[name]}" for name in p.indec_names)
-    _emit(
-        args,
-        _document("k0", {"presentation": files.digest(p, loaded.tensor)}, results),
-        lines,
-    )
-    return EXIT_OK
+    return {"presentation": files.digest(p, loaded.tensor)}, results, lines, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    loaded, code = _load(args, args.path)
-    if loaded is None:
-        return code
+def cmd_classify(args):
+    loaded = _load(args.path)
     p = loaded.presentation
     digests = {"presentation": files.digest(p, loaded.tensor)}
-
-    def refuse(reason: str) -> int:
-        doc = _document("classify", digests, {"verified": False, "reason": reason})
-        _emit(args, doc, [f"unsupported: {reason}"])
-        return EXIT_UNSUPPORTED
-
     if p.n % 2 == 0:
-        return refuse("EvenNUnsupported")
+        raise refuse("EvenNUnsupported", digests)
     result = k0(p)
     if not result.group.is_finite:
-        return refuse("InfiniteGroup")
+        raise refuse("InfiniteGroup", digests)
     order = result.group.order()
     if order > args.max_order:
-        return refuse(f"OrderBound: group order {order} exceeds {args.max_order}")
+        raise refuse(f"OrderBound: group order {order} exceeds {args.max_order}", digests)
 
     report = verify_correspondence(p)
     entries = []
@@ -220,7 +199,7 @@ def cmd_classify(args) -> int:
                 "generators": [
                     {
                         "element": list(g.element),
-                        "object": _object_json(p, g.obj),
+                        "object": object_json(p.indec_names, g.obj),
                         "realized": g.realizes,
                     }
                     for g in entry.generators
@@ -241,50 +220,31 @@ def cmd_classify(args) -> int:
         "all_verified": report.all_verified,
         "subgroups": entries,
     }
-    _emit(args, _document("classify", digests, results), lines)
-    return EXIT_OK if report.all_verified else EXIT_VALIDATION
+    return digests, results, lines, EXIT_OK if report.all_verified else EXIT_VALIDATION
 
 
-def cmd_ring(args) -> int:
-    loaded, code = _load(args, args.path)
-    if loaded is None:
-        return code
+def cmd_ring(args):
+    loaded = _load(args.path)
     p = loaded.presentation
     if not loaded.has_tensor_block:
-        doc = _document(
-            "ring", {}, {"valid": False, "violations": ["missing tensor block"]}
-        )
-        _emit(args, doc, ["invalid: missing tensor block"])
-        return EXIT_VALIDATION
+        raise _Stop({}, {"valid": False, "violations": ["missing tensor block"]},
+                    ["invalid: missing tensor block"], EXIT_VALIDATION)
     digests = {"presentation": files.digest(p, loaded.tensor)}
-    tensor_report = validate_tensor(loaded.tensor)
-    if not tensor_report.valid:
-        doc = _document(
-            "ring", digests, {"valid": False, "violations": list(tensor_report.violations)}
-        )
-        _emit(
-            args,
-            doc,
-            ["invalid tensor table:"] + [f"  - {v}" for v in tensor_report.violations],
-        )
-        return EXIT_VALIDATION
-
-    def refuse(reason: str) -> int:
-        doc = _document("ring", digests, {"verified": False, "reason": reason})
-        _emit(args, doc, [f"unsupported: {reason}"])
-        return EXIT_UNSUPPORTED
-
-    if p.n % 2 == 0:
-        return refuse("EvenNUnsupported")
-    r = ring(loaded.tensor)
-    if not r.group.is_finite:
-        return refuse("InfiniteGroup")
+    # Checked in report order: the table, then n, then finiteness.
+    try:
+        report = verify_tensor_correspondence(loaded.tensor)
+    except InvalidTensorError as exc:
+        raise invalid("invalid tensor table:", exc.violations, digests)
+    except EvenNUnsupportedError:
+        raise refuse("EvenNUnsupported", digests)
+    except InfiniteGroupError:
+        raise refuse("InfiniteGroup", digests)
+    r = report.ring
 
     constants = {}
     for (i, j), value in sorted(r.structure_constants().items()):
         a, b = sorted((p.indec_names[i], p.indec_names[j]))
         constants[f"{a}|{b}"] = list(value.vec)
-    report = verify_tensor_correspondence(loaded.tensor)
     ideals = []
     lines = [
         f"invariant factors: {list(r.group.invariant_factors)}",
@@ -299,11 +259,13 @@ def cmd_ring(args) -> int:
                 "order": entry.ideal.subgroup.order(),
                 "prime": entry.ideal.prime,
                 "is_full_ring": entry.ideal.subgroup.preimage.is_full(),
-                "tensor_closed": entry.tensor_closed,
+                # enumerate_ideals keeps only tensor-closed subgroups, and
+                # its prime test is the object-pair one.
+                "tensor_closed": True,
                 "dense": _cert_json(p, entry.dense),
                 "complete": _cert_json(p, entry.complete),
                 "round_trip": entry.round_trip,
-                "object_prime": entry.object_prime,
+                "object_prime": entry.ideal.prime,
                 "verified": entry.verified,
             }
         )
@@ -322,32 +284,23 @@ def cmd_ring(args) -> int:
         "all_verified": report.all_verified,
         "ideals": ideals,
     }
-    _emit(args, _document("ring", digests, results), lines)
-    return EXIT_OK if report.all_verified else EXIT_VALIDATION
+    return digests, results, lines, EXIT_OK if report.all_verified else EXIT_VALIDATION
 
 
-def cmd_hom(args) -> int:
-    loaded_t, code = _load(args, args.t_path)
-    if loaded_t is None:
-        return code
-    loaded_c, code = _load(args, args.c_path)
-    if loaded_c is None:
-        return code
-    t_pres, c_pres = loaded_t.presentation, loaded_c.presentation
+def cmd_hom(args):
+    t_pres = _load(args.t_path).presentation
+    c_pres = _load(args.c_path).presentation
     try:
         with open(args.map_path, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read {args.map_path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _error(f"cannot read {args.map_path}: {exc}", EXIT_PARSE)
     except json.JSONDecodeError as exc:
-        print(f"error: {args.map_path}: invalid JSON: {exc.msg}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _error(f"{args.map_path}: invalid JSON: {exc.msg}", EXIT_PARSE)
     if not isinstance(mapping, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
     ):
-        print("error: map file must be a string-to-string object", file=sys.stderr)
-        return EXIT_PARSE
+        raise _error("map file must be a string-to-string object", EXIT_PARSE)
 
     digests = {
         "target": files.digest(t_pres),
@@ -369,11 +322,7 @@ def cmd_hom(args) -> int:
         embedding = Embedding(domain=c_pres, target=t_pres, images=tuple(images))
         violations.extend(validate_embedding(embedding).violations)
     if violations:
-        doc = _document(
-            "hom", digests, {"valid": False, "violations": violations}
-        )
-        _emit(args, doc, ["invalid embedding:"] + [f"  - {v}" for v in violations])
-        return EXIT_VALIDATION
+        raise invalid("invalid embedding:", violations, digests)
 
     try:
         hom = induced_hom(embedding)
@@ -383,9 +332,7 @@ def cmd_hom(args) -> int:
             "witness": list(exc.witness),
             "reason": str(exc),
         }
-        doc = _document("hom", digests, results)
-        _emit(args, doc, [f"not well-defined: {exc}"])
-        return EXIT_UNSUPPORTED
+        return digests, results, [f"not well-defined: {exc}"], EXIT_UNSUPPORTED
     surjective = is_surjective(hom)
     results = {
         "well_defined": True,
@@ -397,8 +344,7 @@ def cmd_hom(args) -> int:
         f"matrix: {[list(r) for r in hom.matrix.entries]}",
         f"surjective: {'yes' if surjective else 'no'}",
     ]
-    _emit(args, _document("hom", digests, results), lines)
-    return EXIT_OK
+    return digests, results, lines, EXIT_OK
 
 
 def _term_json(p, term) -> dict:
@@ -406,27 +352,26 @@ def _term_json(p, term) -> dict:
     if term.kind == "generator":
         out["generator"] = term.index
     else:
-        out["object"] = _object_json(p, term.obj)
+        out["object"] = object_json(p.indec_names, term.obj)
     return out
 
 
-def cmd_witness(args) -> int:
-    loaded, code = _load(args, args.path)
-    if loaded is None:
-        return code
+def cmd_witness(args):
+    if args.bound < 0:
+        raise _error("--bound must be nonnegative", EXIT_VALIDATION)
+    loaded = _load(args.path)
     p = loaded.presentation
     try:
         left = files.parse_object_literal(args.left, p)
         right = files.parse_object_literal(args.right, p)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _error(exc, EXIT_VALIDATION)
     digests = {"presentation": files.digest(p, loaded.tensor)}
     result = k0(p)
     equal = equal_classes(result, left, right)
     results = {
-        "left": _object_json(p, left),
-        "right": _object_json(p, right),
+        "left": object_json(p.indec_names, left),
+        "right": object_json(p.indec_names, right),
         "equal": equal,
         "bound": args.bound,
     }
@@ -440,7 +385,7 @@ def cmd_witness(args) -> int:
         results["searched"] = True
         if isinstance(outcome, Witness):
             results["witness"] = {
-                "complements": [_object_json(p, c) for c in outcome.complements],
+                "complements": [object_json(p.indec_names, c) for c in outcome.complements],
                 "left_terms": [_term_json(p, t) for t in outcome.left_terms],
                 "right_terms": [_term_json(p, t) for t in outcome.right_terms],
             }
@@ -461,8 +406,7 @@ def cmd_witness(args) -> int:
                 f"no witness within bound {outcome.bound} "
                 "(not a refutation of equality)"
             )
-    _emit(args, _document("witness", digests, results), lines)
-    return EXIT_OK
+    return digests, results, lines, EXIT_OK
 
 
 def _add_output_flags(sub):
@@ -527,16 +471,26 @@ def main(argv=None) -> int:
         print("error: ANGK0_THREADS must be a nonnegative integer", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return args.func(args)
-    except (EvenNUnsupportedError, InfiniteGroupError) as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except InvalidTensorError as exc:
-        print(f"invalid tensor: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        digests, results, lines, code = args.func(args)
+    except _Stop as stop:
+        digests, results, lines, code = stop.args
+    if results is None:
+        print("\n".join(lines), file=sys.stderr)
+        return code
+    if args.json:
+        document = {
+            "schema_version": files.SCHEMA_VERSION,
+            "command": args.command,
+            "digest": digests,
+            "results": results,
+        }
+        lines = [json.dumps(document, sort_keys=True, indent=2)]
+    try:
+        print("\n".join(lines))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotWellDefinedError
-from .k0 import euler_vector, k0, relation_lattice, suspension_rows
-from .lattices import GroupHom, IntMatrix, apply_matrix, hom_from_generator_images, is_surjective
+from .k0 import euler_vector, k0, suspension_rows
+from .lattices import GroupHom, IntMatrix, apply_matrix, is_surjective
 from .presentations import Presentation
 
 
@@ -86,27 +86,28 @@ def induced_hom(e: Embedding) -> GroupHom:
 
     Each generating relation of the domain (suspension rows and Euler
     vectors of listed angles) must land in the target relation lattice;
-    the first offender is reported as the witness.
+    the first offender is reported as the witness.  They span the domain
+    relations, so the matrix then induces a well-defined hom.
     """
     report = validate_embedding(e)
     if not report.valid:
         raise ValueError("invalid embedding: " + "; ".join(report.violations))
     matrix = embedding_matrix(e)
-    target_lattice = relation_lattice(e.target)
+    target = k0(e.target)
     for idx, angle in enumerate(e.domain.angles):
         row = euler_vector(e.domain, angle)
-        if apply_matrix(row, matrix) not in target_lattice:
+        if apply_matrix(row, matrix) not in target.relation_lattice:
             raise NotWellDefinedError(
                 f"Euler vector of listed angle {idx} maps outside the target relations",
                 witness=row,
             )
     for row in suspension_rows(e.domain):
-        if apply_matrix(row, matrix) not in target_lattice:
+        if apply_matrix(row, matrix) not in target.relation_lattice:
             raise NotWellDefinedError(
                 f"suspension row {list(row)} maps outside the target relations",
                 witness=row,
             )
-    return hom_from_generator_images(k0(e.domain).group, k0(e.target).group, matrix)
+    return GroupHom(k0(e.domain).group, target.group, matrix)
 
 
 def check_surjective(e: Embedding) -> bool:

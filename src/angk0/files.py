@@ -220,7 +220,8 @@ def parse_document(doc) -> LoadedDocument:
     )
 
 
-def _object_json(names, vec) -> dict:
+def object_json(names, vec) -> dict:
+    """Sparse {symbol: multiplicity} map of an object vector."""
     return {names[i]: vec[i] for i in range(len(names)) if vec[i]}
 
 
@@ -234,7 +235,7 @@ def serialize(p: Presentation, tensor: TensorPresentation | None = None) -> dict
             for i, name in enumerate(p.indec_names)
         },
         "angles": [
-            [_object_json(p.indec_names, v) for v in angle.vertices]
+            [object_json(p.indec_names, v) for v in angle.vertices]
             for angle in p.angles
         ],
     }
@@ -243,9 +244,9 @@ def serialize(p: Presentation, tensor: TensorPresentation | None = None) -> dict
         for i in range(p.rank):
             for j in range(i, p.rank):
                 a, b = sorted((p.indec_names[i], p.indec_names[j]))
-                table[f"{a}|{b}"] = _object_json(p.indec_names, tensor.product_basis(i, j))
+                table[f"{a}|{b}"] = object_json(p.indec_names, tensor.product_basis(i, j))
         doc["tensor"] = {
-            "unit": _object_json(p.indec_names, tensor.unit),
+            "unit": object_json(p.indec_names, tensor.unit),
             "table": table,
         }
     return doc

@@ -63,9 +63,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
@@ -77,9 +74,6 @@ class IntMatrix:
             for row in self.entries
         ]
         return IntMatrix(out, cols=other.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)) if self.entries else [], cols=self.rows)
 
     def __eq__(self, other):
         return (

@@ -293,6 +293,57 @@ class TestWitness:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "doc, left, right",
+        [(F2, '{"x": 1}', '{"x": 3}'), (C_SINGLE, '{"c": 1}', '{"c": 2}')],
+        ids=["equal", "unequal"],
+    )
+    @pytest.mark.parametrize("output", ["--text", "--json"])
+    def test_negative_bound_refused(self, tmp_path, capsys, doc, left, right, output):
+        path = write(tmp_path, "doc.json", doc)
+        code = main(["witness", path, "--left", left, "--right", right, "--bound", "-1", output])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: --bound must be nonnegative\n")
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to angk0.<module>.<name>, through
+    every module attribute that is bound to it."""
+    original = getattr(sys.modules[f"angk0.{module}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "angk0" or key.startswith("angk0."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestCallCounts:
+    def test_ring_validates_once_and_builds_k0_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "comp.json", COMPONENTWISE)
+        validations = count_calls(monkeypatch, "tensor", "validate_tensor")
+        k0_calls = count_calls(monkeypatch, "k0", "k0")
+        assert main(["ring", path, "--json"]) == 0
+        capsys.readouterr()
+        assert (len(validations), len(k0_calls)) == (1, 1)
+
+    def test_hom_builds_target_relations_once(self, tmp_path, capsys, monkeypatch):
+        t = write(tmp_path, "t.json", T_SWAP)
+        c = write(tmp_path, "c.json", C_SINGLE)
+        m = write(tmp_path, "map.json", {"c": "p"})
+        lattices = count_calls(monkeypatch, "k0", "relation_lattice")
+        assert main(["hom", t, c, m, "--json"]) == 0
+        capsys.readouterr()
+        built = [p.indec_names for (p,) in lattices]
+        assert built.count(("p", "q")) == 1
+
+
 class TestDeterminism:
     def test_byte_identical_across_thread_caps(self, tmp_path):
         path = write(tmp_path, "g1.json", G1)
@@ -371,6 +422,9 @@ GOLDEN_FILES = {
                 "table": {"a|a": {"a": 1}, "a|b": {"b": 1}, "b|b": {"a": 1}}},
     ),
     "even_ring.json": dict(F2, n=4),
+    "even_bad_table.json": dict(
+        F2, n=4, tensor={"unit": {"x": 1}, "table": {"x|x": {"x": 2}}}
+    ),
     "graded.json": dict(
         T_SWAP,
         tensor={"unit": {"p": 1},
@@ -400,6 +454,7 @@ GOLDEN_RUNS = {
     "ring-missing-block": ["ring", "g1.json"],
     "ring-invalid-table": ["ring", "bad_table.json"],
     "ring-even-n": ["ring", "even_ring.json"],
+    "ring-even-n-invalid-table": ["ring", "even_bad_table.json"],
     "ring-infinite": ["ring", "graded.json"],
     "hom-ok": ["hom", "t.json", "t.json", "id.map"],
     "hom-not-surjective": ["hom", "t3.json", "c.json", "c_p.map"],
@@ -519,6 +574,12 @@ GOLDEN = {
         "f4f4e5d95328ee37caad0ddd502a281e2a0035f00e47098ec1f14682a805badf",
         "",
         3,
+    ),
+    "ring-even-n-invalid-table": (
+        "cd6400e9b17c8db028719591edf03e9d0bf7f1b2a8b3b57cc73abb07d21e7aed",
+        "39cbd670f5b14c5687b9c22d7003562356084af867150f5a667ff76425971fca",
+        "",
+        2,
     ),
     "ring-infinite": (
         "3a1b00901365a59cfcf1d6beb5eca8e1ec910953ded89873ddd40a86bbb48a0e",

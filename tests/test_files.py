@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from angk0.files import (
+    LoadedDocument,
     ParseError,
     canonical_json,
     digest,
@@ -12,8 +14,8 @@ from angk0.files import (
     parse_object_literal,
     serialize,
 )
-from angk0.presentations import Angle, Presentation, Suspension
-from angk0.tensor import TensorPresentation
+from angk0.presentations import Angle, Presentation, Suspension, validate_presentation
+from angk0.tensor import TensorPresentation, validate_tensor
 
 G1_DOC = {
     "n": 3,
@@ -163,6 +165,62 @@ def test_parse_inverts_serialize(case):
         for j in range(p.rank):
             assert loaded.tensor.product_basis(i, j) == t.product_basis(i, j)
     assert serialize(loaded.presentation, loaded.tensor) == doc
+
+
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from(["a", "b|a", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "unit", "table"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """Documents of the right shape, with symbols that may be unknown and
+    values that may be out of range; some have one field dropped or
+    replaced by arbitrary JSON."""
+    names = draw(
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True)
+        | st.lists(st.sampled_from(["a", "a|b", ""]), max_size=3)
+    )
+    symbol = st.sampled_from(names + ["zz"])
+    obj = st.dictionaries(symbol, st.sampled_from([1, 1, 1, 2, 3, 0, -1]), max_size=3)
+    pairs = ["|".join(sorted(pair)) for pair in itertools.combinations_with_replacement(names, 2)]
+    fields = {
+        "n": st.integers(1, 6),
+        "indecomposables": st.just(names),
+        "suspension": st.permutations(names).map(lambda images: dict(zip(names, images)))
+        | st.dictionaries(symbol, symbol, max_size=3),
+        "angles": st.lists(st.lists(obj, max_size=5), max_size=3),
+        "tensor": st.fixed_dictionaries({
+            "unit": obj,
+            "table": st.fixed_dictionaries({key: obj for key in pairs})
+            | st.dictionaries(st.tuples(symbol, symbol).map("|".join), obj, max_size=6),
+        }),
+    }
+    doc = {key: draw(shaped) for key, shaped in fields.items()}
+    spoiled = draw(st.sampled_from([None, None, *fields]))
+    if spoiled is not None:
+        if draw(st.booleans()):
+            del doc[spoiled]
+        else:
+            doc[spoiled] = draw(JSON_ANY)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_documents() | JSON_ANY)
+def test_parse_document_fuzz(doc):
+    try:
+        loaded = parse_document(doc)
+    except ParseError:
+        return
+    assert isinstance(loaded, LoadedDocument)
+    if loaded.presentation is not None:
+        validate_presentation(loaded.presentation)
+        if loaded.tensor is not None:
+            validate_tensor(loaded.tensor)
 
 
 class TestLiterals:
