@@ -3,8 +3,10 @@
 A dense complete subcategory is cut out by a saturating integer lattice
 between the relation lattice and Z^r: its objects are exactly the
 nonnegative vectors lying in the lattice.  For odd n the maps
-subgroup -> subcategory -> subgroup are mutually inverse, and this module
-verifies that exhaustively whenever the group is finite.
+subgroup -> subcategory -> subgroup are mutually inverse by representation
+(both store one preimage lattice).  For finite groups this module checks
+exhaustively that every subcategory is dense and complete and realizes
+each generator of its subgroup as the class of an explicit object.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EvenNUnsupportedError, InfiniteGroupError
-from .k0 import K0Result, class_of, k0 as compute_k0, object_for_element, relation_lattice
+from .k0 import K0Result, class_of, object_for_element
 from .lattices import Lattice, Subgroup, enumerate_subgroups
 from .presentations import (
     ObjectVec,
@@ -130,7 +132,7 @@ def is_dense(p: Presentation, sub: SubcategoryLattice, bound: int = 4) -> Certif
     )
 
 
-def is_complete(p: Presentation, sub: SubcategoryLattice) -> Certificate:
+def is_complete(k: K0Result, sub: SubcategoryLattice) -> Certificate:
     """Completeness certificate.
 
     If the lattice contains the relation lattice, any angle with n-1 member
@@ -138,8 +140,8 @@ def is_complete(p: Presentation, sub: SubcategoryLattice) -> Certificate:
     listed generator and each of its rotations is scanned for a violation:
     n-1 member vertices plus one non-member.
     """
-    rel = relation_lattice(p)
-    if sub.lattice.contains_lattice(rel):
+    p = k.presentation
+    if sub.lattice.contains_lattice(k.relation_lattice):
         return Certificate(
             status="holds",
             reason="lattice contains the relation lattice, so Euler relations close angles",
@@ -218,7 +220,6 @@ class CorrespondenceEntry:
     subcategory: SubcategoryLattice
     dense: Certificate
     complete: Certificate
-    round_trip: bool
     generators: tuple[GeneratorRealization, ...]
 
     @property
@@ -226,7 +227,6 @@ class CorrespondenceEntry:
         return (
             self.dense.holds
             and self.complete.holds
-            and self.round_trip
             and all(g.realizes for g in self.generators)
         )
 
@@ -245,17 +245,16 @@ class CorrespondenceReport:
         )
 
 
-def verify_correspondence(p: Presentation) -> CorrespondenceReport:
-    """Exhaustive round-trip verification over every subgroup.
+def verify_correspondence(k: K0Result) -> CorrespondenceReport:
+    """Exhaustive verification over every subgroup of K0.
 
     For each subgroup H the induced subcategory must be dense and complete,
-    return exactly H under the inverse map, and every generator of H must
-    be realized as the class of an explicit object.  Distinct subgroups
-    must induce distinct lattices.
+    and every generator of H must be realized as the class of an explicit
+    object.  Distinct subgroups must induce distinct lattices.
     """
+    p = k.presentation
     if p.n % 2 == 0:
         raise EvenNUnsupportedError("the correspondence is only verified for odd n")
-    k = compute_k0(p)
     if not k.group.is_finite:
         raise InfiniteGroupError("exhaustive verification requires a finite group")
     entries = []
@@ -263,8 +262,7 @@ def verify_correspondence(p: Presentation) -> CorrespondenceReport:
     for subgroup in enumerate_subgroups(k.group):
         sub = subcategory_from_subgroup(k, subgroup)
         dense = is_dense(p, sub)
-        complete = is_complete(p, sub)
-        back = subgroup_from_subcategory(k, sub)
+        complete = is_complete(k, sub)
         gens = []
         for row in subgroup.preimage.basis:
             x = k.group.element(row)
@@ -277,7 +275,6 @@ def verify_correspondence(p: Presentation) -> CorrespondenceReport:
                 subcategory=sub,
                 dense=dense,
                 complete=complete,
-                round_trip=back == subgroup,
                 generators=tuple(gens),
             )
         )

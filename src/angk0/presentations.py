@@ -38,10 +38,6 @@ def add_objects(v: ObjectVec, w: ObjectVec) -> ObjectVec:
     return tuple(a + b for a, b in zip(v, w))
 
 
-def total_multiplicity(v: ObjectVec) -> int:
-    return sum(v)
-
-
 def iter_object_vectors(rank: int, max_total: int, include_zero: bool = False):
     """Objects with total multiplicity <= max_total, in lexicographic order."""
     for v in itertools.product(range(max_total + 1), repeat=rank):

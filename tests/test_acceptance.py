@@ -142,7 +142,7 @@ def test_criterion_3_golden_g2(tmp_path, capsys):
     k = k0(G2)
     assert k.group.invariant_factors == (2,)
     assert k.group.free_rank == 0
-    report = verify_correspondence(G2)
+    report = verify_correspondence(k)
     assert report.subgroup_count == 2
     assert report.all_verified
     elapsed = time.monotonic() - start

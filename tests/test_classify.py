@@ -113,7 +113,7 @@ class TestIsComplete:
     def test_containment_certificate(self):
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            cert = is_complete(G1, subcategory_from_subgroup(k, h))
+            cert = is_complete(k, subcategory_from_subgroup(k, h))
             assert cert.holds
 
     def test_scan_finds_failure(self):
@@ -124,7 +124,7 @@ class TestIsComplete:
             angles=(Angle(((2, 0, 0), (0, 1, 0), (0, 0, 2))),),
         )
         sub = SubcategoryLattice(p, Lattice(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
-        cert = is_complete(p, sub)
+        cert = is_complete(k0(p), sub)
         assert cert.fails
         angle, missing = cert.witness
         assert angle.vertices[missing] == (0, 1, 0)
@@ -132,7 +132,7 @@ class TestIsComplete:
     def test_no_generators_holds(self):
         p = make(3, 2)
         sub = SubcategoryLattice(p, relation_lattice(p))
-        assert is_complete(p, sub).holds
+        assert is_complete(k0(p), sub).holds
 
     def test_holds_certificate_never_contradicted_by_scan(self):
         # when containment holds, the generator scan must find no violation
@@ -144,7 +144,7 @@ class TestIsComplete:
                 continue
             for h in enumerate_subgroups(k.group):
                 sub = subcategory_from_subgroup(k, h)
-                assert is_complete(p, sub).holds
+                assert is_complete(k, sub).holds
                 for gi, gen in enumerate(p.angles):
                     angle = gen
                     for _ in range(p.n):
@@ -175,12 +175,12 @@ class TestSummandClosure:
 
 class TestVerifyCorrespondence:
     def test_g2(self):
-        report = verify_correspondence(G2)
+        report = verify_correspondence(k0(G2))
         assert report.subgroup_count == 2
         assert report.all_verified
 
     def test_g1(self):
-        report = verify_correspondence(G1)
+        report = verify_correspondence(k0(G1))
         assert report.subgroup_count == 5
         assert report.distinct_lattices == 5
         assert report.all_verified
@@ -189,19 +189,19 @@ class TestVerifyCorrespondence:
         p = make(3, 1, angles=(Angle(((1,), (0,), (0,))),))
         k = k0(p)
         assert k.group.order() == 1
-        report = verify_correspondence(p)
+        report = verify_correspondence(k)
         assert report.subgroup_count == 1
         assert report.all_verified
 
     def test_even_n_refused(self):
         with pytest.raises(EvenNUnsupportedError):
-            verify_correspondence(make(4, 1))
+            verify_correspondence(k0(make(4, 1)))
 
     def test_infinite_refused(self):
         p = make(3, 2, images=[1, 0])  # relation row e_a + e_b only
         assert not k0(p).group.is_finite
         with pytest.raises(InfiniteGroupError):
-            verify_correspondence(p)
+            verify_correspondence(k0(p))
 
     def test_monotone(self):
         k = k0(G1)

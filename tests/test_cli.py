@@ -333,6 +333,21 @@ class TestCallCounts:
         capsys.readouterr()
         assert (len(validations), len(k0_calls)) == (1, 1)
 
+    def test_classify_builds_k0_and_relations_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "g1.json", G1)
+        k0_calls = count_calls(monkeypatch, "k0", "k0")
+        lattices = count_calls(monkeypatch, "k0", "relation_lattice")
+        assert main(["classify", path, "--json"]) == 0
+        capsys.readouterr()
+        assert (len(k0_calls), len(lattices)) == (1, 1)
+
+    def test_ring_builds_relations_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "comp.json", COMPONENTWISE)
+        lattices = count_calls(monkeypatch, "k0", "relation_lattice")
+        assert main(["ring", path, "--json"]) == 0
+        capsys.readouterr()
+        assert len(lattices) == 1
+
     def test_hom_builds_target_relations_once(self, tmp_path, capsys, monkeypatch):
         t = write(tmp_path, "t.json", T_SWAP)
         c = write(tmp_path, "c.json", C_SINGLE)

@@ -14,6 +14,7 @@ from angk0.files import (
     parse_object_literal,
     serialize,
 )
+from angk0.k0 import relation_lattice
 from angk0.presentations import Angle, Presentation, Suspension, validate_presentation
 from angk0.tensor import TensorPresentation, validate_tensor
 
@@ -220,7 +221,7 @@ def test_parse_document_fuzz(doc):
     if loaded.presentation is not None:
         validate_presentation(loaded.presentation)
         if loaded.tensor is not None:
-            validate_tensor(loaded.tensor)
+            validate_tensor(loaded.tensor, relation_lattice(loaded.presentation))
 
 
 class TestLiterals:

@@ -399,3 +399,36 @@ class TestTransformFreeCore:
         group = FgAbelianGroup(Lattice(cols, rows))
         expected = [x for x in invariant_factors_by_minors(rows) if x > 1]
         assert list(group.invariant_factors) == expected
+
+
+@st.composite
+def small_finite_groups(draw):
+    """Z^r / L with r <= 3 and order <= 16: L is spanned by a triangular
+    basis with its columns permuted, plus one row dependent on the others."""
+    r = draw(st.integers(1, 3))
+    budget, rows = 16, []
+    for i in range(r):
+        d = draw(st.integers(1, budget))
+        budget //= d
+        tail = draw(st.lists(st.integers(-5, 5), min_size=r - i - 1, max_size=r - i - 1))
+        rows.append([0] * i + [d] + tail)
+    perm = draw(st.permutations(range(r)))
+    rows = [[row[j] for j in perm] for row in rows]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(r)])
+    return quotient_group(Lattice(r, rows))
+
+
+class TestEnumerationCanonical:
+    """enumerate_subgroups builds its candidates in Hermite form and skips
+    the elimination, so each preimage must already be the canonical basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_finite_groups())
+    def test_preimages_are_canonical_and_complete(self, group):
+        subs = enumerate_subgroups(group)
+        for s in subs:
+            assert s.preimage == Lattice(group.ambient_rank, s.preimage.basis)
+        bases = [s.preimage.basis for s in subs]
+        assert all(a < b for a, b in zip(bases, bases[1:]))
+        assert len(subs) == subgroup_count_by_subsets(group)

@@ -48,7 +48,7 @@ def zero_ring_tensor():
 
 class TestValidate:
     def test_one_element_table(self):
-        assert validate_tensor(f2_tensor()).valid
+        assert validate_tensor(f2_tensor(), relation_lattice(f2_tensor().base)).valid
 
     def test_asymmetric_table(self):
         t = TensorPresentation(
@@ -56,7 +56,7 @@ class TestValidate:
             {(0, 1): (1, 0), (1, 0): (0, 1), (0, 0): (1, 0), (1, 1): (0, 1)},
             (1, 1),
         )
-        report = validate_tensor(t)
+        report = validate_tensor(t, relation_lattice(t.base))
         assert any(v.startswith("symmetry") for v in report.violations)
 
     def test_angle_compatibility(self):
@@ -66,7 +66,7 @@ class TestValidate:
         t = TensorPresentation(
             p, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 0)}, (1, 0)
         )
-        report = validate_tensor(t)
+        report = validate_tensor(t, relation_lattice(t.base))
         assert any(v.startswith("angle-compatibility") for v in report.violations)
 
 
