@@ -267,7 +267,7 @@ def verify_correspondence(k: K0Result) -> CorrespondenceReport:
         for row in subgroup.preimage.basis:
             x = k.group.element(row)
             obj = object_for_element(k, x)
-            realizes = class_of(k, obj) == x and subgroup.contains(x)
+            realizes = class_of(k, obj) == x
             gens.append(GeneratorRealization(element=x.vec, obj=obj, realizes=realizes))
         entries.append(
             CorrespondenceEntry(

@@ -18,11 +18,13 @@ from .presentations import (
     Presentation,
     add_objects,
     basis_object,
+    direct_sum_angle,
     iter_object_vectors,
     object_vec,
     rotate_angle,
     suspend_object,
     trivial_angle,
+    zero_angle,
     zero_object,
 )
 
@@ -140,10 +142,9 @@ def resolve_term(p: Presentation, term: AngleTerm) -> Angle:
 
 
 def sum_of_terms(p: Presentation, terms) -> Angle:
-    total = Angle((zero_object(p.rank),) * p.n)
+    total = zero_angle(p)
     for term in terms:
-        a = resolve_term(p, term)
-        total = Angle(tuple(add_objects(x, y) for x, y in zip(total.vertices, a.vertices)))
+        total = direct_sum_angle(total, resolve_term(p, term))
     return total
 
 
@@ -206,28 +207,25 @@ def witness_search(p: Presentation, a, b, bound: int):
         return Witness(complements=complements, left_terms=(term,), right_terms=(term,))
 
     pool = _witness_pool(p, bound)
-    sums = []
-    first_by_key: dict[tuple, dict[tuple, int]] = {}
+    # (tail, head) -> first combo with that sum.  A left sum qualifies by its
+    # key alone, so the first qualifying sum is the first of its key.
+    first: dict[tuple, tuple[int, ...]] = {}
     for size in range(bound + 1):
         for combo in itertools.combinations_with_replacement(range(len(pool)), size):
             vertices = [zero_object(p.rank)] * p.n
             for idx in combo:
                 angle = pool[idx][1]
                 vertices = [add_objects(x, y) for x, y in zip(vertices, angle.vertices)]
-            head, tail = vertices[0], tuple(vertices[1:])
-            pos = len(sums)
-            sums.append((head, tail, combo))
-            first_by_key.setdefault(tail, {}).setdefault(head, pos)
+            first.setdefault((tuple(vertices[1:]), vertices[0]), combo)
 
-    for head, tail, combo in sums:
+    for (tail, head), combo in first.items():
         c1 = tuple(h - x for h, x in zip(head, a))
         if any(c < 0 for c in c1):
             continue
-        target = tuple(x + c for x, c in zip(b, c1))
-        match = first_by_key.get(tail, {}).get(target)
+        match = first.get((tail, tuple(x + c for x, c in zip(b, c1))))
         if match is None:
             continue
         left_terms = tuple(pool[i][0] for i in combo)
-        right_terms = tuple(pool[i][0] for i in sums[match][2])
+        right_terms = tuple(pool[i][0] for i in match)
         return Witness(complements=(c1,) + tail, left_terms=left_terms, right_terms=right_terms)
     return NotFound(bound)

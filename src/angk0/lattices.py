@@ -280,22 +280,11 @@ class Lattice:
     def __init__(self, ambient_rank: int, rows=()):
         a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
         _hermite_rows(a, ambient_rank)
-        self._set_basis(ambient_rank, tuple(tuple(row) for row in a if any(row)))
-
-    @classmethod
-    def _from_hermite(cls, ambient_rank: int, basis) -> "Lattice":
-        """Wrap rows that already are a Hermite basis, without elimination."""
-        lattice = cls.__new__(cls)
-        lattice._set_basis(ambient_rank, basis)
-        return lattice
-
-    def _set_basis(self, ambient_rank, basis):
         self.ambient_rank = ambient_rank
-        self.basis = basis
-        self._pivot_of_col = {}
-        for idx, row in enumerate(basis):
-            col = next(j for j, x in enumerate(row) if x)
-            self._pivot_of_col[col] = idx
+        self.basis = tuple(tuple(row) for row in a if any(row))
+        self._pivot_of_col = {
+            next(j for j, x in enumerate(row) if x): idx for idx, row in enumerate(self.basis)
+        }
 
     @property
     def rank(self) -> int:
@@ -527,43 +516,24 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
     return Subgroup(group, group.relations.join(rows))
 
 
-def _divisor_tuples(budget: int, length: int, divisors):
-    if length == 0:
-        yield ()
-        return
-    for d in divisors:
-        if budget % d == 0:
-            for rest in _divisor_tuples(budget // d, length - 1, divisors):
-                yield (d,) + rest
-
-
 def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
     """Every subgroup of a finite group, in lexicographic basis order.
 
-    Subgroups correspond to intermediate lattices between the relation
-    lattice and Z^r; these are enumerated as square Hermite bases whose
-    diagonal product divides the group order, built directly in Hermite
-    form so that no candidate is eliminated again.
+    Subgroups correspond to the lattices between the relation lattice and
+    Z^r.  Each is generated over the relations by finitely many elements, so
+    closing the relation lattice under joins with one element reaches all.
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
-    r = group.ambient_rank
-    order = group.order()
-    divisors = [d for d in range(1, order + 1) if order % d == 0]
-    found = []
-    for diag in _divisor_tuples(order, r, divisors):
-        above = [(i, j) for j in range(r) for i in range(j) if diag[j] > 1]
-        for values in itertools.product(*(range(diag[j]) for _, j in above)):
-            rows = [[0] * r for _ in range(r)]
-            for i in range(r):
-                rows[i][i] = diag[i]
-            for (i, j), val in zip(above, values):
-                rows[i][j] = val
-            lattice = Lattice._from_hermite(r, tuple(map(tuple, rows)))
-            if lattice.contains_lattice(group.relations):
-                found.append(Subgroup(group, lattice))
-    found.sort(key=lambda s: s.preimage.basis)
-    return found
+    elements = [x.vec for x in group.elements()]
+    found = {group.relations}
+    pending = [group.relations]
+    while pending:
+        lattice = pending.pop()
+        new = {lattice.join([vec]) for vec in elements if vec not in lattice} - found
+        found |= new
+        pending += new
+    return [Subgroup(group, lattice) for lattice in sorted(found, key=lambda lat: lat.basis)]
 
 
 class GroupHom:

@@ -228,3 +228,51 @@ class TestVerifyCorrespondence:
                     frontier.extend(x + y for y in list(closure))
             for v in itertools.product(range(3), repeat=3):
                 assert sub.contains_object(v) == (k.group.element(v) in closure)
+
+
+def gaussian_binomial_sum(k, q):
+    # Number of subspaces of F_q^k: the sum over j of the Gaussian binomials.
+    total = 0
+    for j in range(k + 1):
+        num = den = 1
+        for i in range(j):
+            num *= q ** (k - i) - 1
+            den *= q ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+class TestClosedFormCounts:
+    """Subgroup counts of the enumeration against closed forms, independent
+    of the subset oracle in support.py."""
+
+    @pytest.mark.parametrize("k, count", [(1, 2), (2, 5), (3, 16), (4, 67), (5, 374)])
+    def test_elementary_abelian(self, k, count):
+        # identity suspension on k symbols and no angles: K0 = (Z/2)^k
+        kr = k0(make(3, k))
+        assert kr.group.invariant_factors == (2,) * k
+        assert gaussian_binomial_sum(k, 2) == count
+        assert len(enumerate_subgroups(kr.group)) == count
+        report = verify_correspondence(kr)
+        assert report.subgroup_count == count
+        assert report.all_verified
+
+    def test_z2_on_sixteen_symbols(self):
+        # angles (e_i, e_(i+1), 0) identify all symbols, the suspension
+        # rows 2 e_j leave K0 = Z/2, which has exactly two subgroups
+        r = 16
+        zero = (0,) * r
+        p = Presentation(
+            n=3,
+            indec_names=tuple(f"x{j}" for j in range(r)),
+            suspension=Suspension(tuple(range(r))),
+            angles=tuple(
+                Angle((basis_object(r, i), basis_object(r, i + 1), zero)) for i in range(r - 1)
+            ),
+        )
+        kr = k0(p)
+        assert kr.group.invariant_factors == (2,)
+        subs = enumerate_subgroups(kr.group)
+        assert len(subs) == 2
+        assert subs[-1].preimage == kr.relation_lattice
+        assert subs[0].preimage.is_full()

@@ -420,8 +420,8 @@ def small_finite_groups(draw):
 
 
 class TestEnumerationCanonical:
-    """enumerate_subgroups builds its candidates in Hermite form and skips
-    the elimination, so each preimage must already be the canonical basis."""
+    """Every preimage enumerate_subgroups returns must be the canonical
+    Hermite basis of its lattice, listed once and in increasing order."""
 
     @settings(max_examples=60, deadline=None)
     @given(small_finite_groups())
