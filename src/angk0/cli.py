@@ -260,8 +260,8 @@ def cmd_ring(args):
                 "order": entry.ideal.subgroup.order(),
                 "prime": entry.ideal.prime,
                 "is_full_ring": entry.ideal.subgroup.preimage.is_full(),
-                # enumerate_ideals keeps only tensor-closed subgroups, and
-                # its prime test is the object-pair one.
+                # enumerated ideals are joins of principal ideals, and
+                # their prime flag is the object-pair prime property.
                 "tensor_closed": True,
                 "dense": _cert_json(p, entry.dense),
                 "complete": _cert_json(p, entry.complete),

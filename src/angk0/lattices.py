@@ -272,7 +272,7 @@ class Lattice:
     """An integer row span inside Z^r, stored by its canonical Hermite basis.
 
     Canonical storage makes equality of lattices equality of the stored
-    bases, which the correspondence's distinct-lattice count relies on.
+    bases, which the enumeration's set of found lattices relies on.
     """
 
     __slots__ = ("ambient_rank", "basis", "_pivot_of_col")
@@ -320,6 +320,10 @@ class Lattice:
     def is_full(self) -> bool:
         # A Hermite basis of full rank with unit pivots is the identity.
         return self.index_in_ambient() == 1
+
+    def coset_reps(self):
+        """Canonical coset reps of a full-rank lattice: 0 <= v_i < basis[i][i]."""
+        return itertools.product(*(range(row[i]) for i, row in enumerate(self.basis)))
 
     def index_in_ambient(self) -> int | None:
         """[Z^r : L] when L has full rank, else None."""
@@ -400,8 +404,7 @@ class FgAbelianGroup:
         """All elements of a finite group, by canonical representative."""
         if not self.is_finite:
             raise InfiniteGroupError("cannot enumerate an infinite group")
-        bounds = [row[i] for i, row in enumerate(self.relations.basis)]
-        for rep in itertools.product(*(range(b) for b in bounds)):
+        for rep in self.relations.coset_reps():
             yield GroupElement(self, rep)
 
     def __eq__(self, other):
@@ -516,24 +519,30 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
     return Subgroup(group, group.relations.join(rows))
 
 
+def _join_closure(lattice: Lattice, rows_of) -> list[Lattice]:
+    # Close a full-rank lattice under joins with rows_of(v) for each nonzero
+    # coset rep v.  rows_of(v) spans v's cyclic subgroup or principal ideal,
+    # whose join with a found lattice depends only on v's coset.
+    found, pending = {lattice}, [lattice]
+    while pending:
+        current = pending.pop()
+        new = {current.join(rows_of(v)) for v in current.coset_reps() if any(v)} - found
+        found |= new
+        pending += new
+    return sorted(found, key=lambda lat: lat.basis)
+
+
 def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
     """Every subgroup of a finite group, in lexicographic basis order.
 
     Subgroups correspond to the lattices between the relation lattice and
     Z^r.  Each is generated over the relations by finitely many elements, so
-    closing the relation lattice under joins with one element reaches all.
+    closing the relation lattice under joins with one coset rep at a time
+    reaches all.
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
-    elements = [x.vec for x in group.elements()]
-    found = {group.relations}
-    pending = [group.relations]
-    while pending:
-        lattice = pending.pop()
-        new = {lattice.join([vec]) for vec in elements if vec not in lattice} - found
-        found |= new
-        pending += new
-    return [Subgroup(group, lattice) for lattice in sorted(found, key=lambda lat: lat.basis)]
+    return [Subgroup(group, lattice) for lattice in _join_closure(group.relations, lambda v: [v])]
 
 
 class GroupHom:

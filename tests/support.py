@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's reduction paths:
 invariant factors come from gcds of k x k minors, memberships from
-exhaustive small-coefficient searches, and subgroup counts from subsets
-closed under addition.
+exhaustive small-coefficient searches, subgroup counts from subsets
+closed under addition, ring ideals from filtering every subgroup for
+tensor closure, and prime flags from every pair of elements.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from angk0.presentations import (
     basis_object,
     object_vec,
 )
-from angk0.tensor import TensorPresentation
+from angk0.lattices import enumerate_subgroups
+from angk0.tensor import TensorPresentation, _tensor_escapes, tensor_int_vectors
 
 
 def minors_gcd(entries, k):
@@ -122,6 +124,30 @@ def subgroup_count_by_subsets(group):
         if all((mask >> add[i][j]) & 1 for i in members for j in members):
             count += 1
     return count
+
+
+def ideals_by_filter(r):
+    """Preimages of the subgroups of a finite ring that are tensor-closed,
+    in enumeration order."""
+    return [
+        s.preimage
+        for s in enumerate_subgroups(r.group)
+        if next(_tensor_escapes(r.tensor, s.preimage), None) is None
+    ]
+
+
+def object_prime_by_pairs(r, preimage):
+    """a*b in I implies a in I or b in I, over every pair of elements."""
+    # Pairs of canonical representatives.  The preimage contains the
+    # relations, so an unreduced product is in it exactly when its class
+    # is in the subgroup; the same loop is the object-pair prime property.
+    reps = [e.vec for e in r.group.elements()]
+    for u in reps:
+        for w in reps:
+            if tensor_int_vectors(r.tensor, u, w) in preimage:
+                if not (u in preimage or w in preimage):
+                    return False
+    return True
 
 
 _NAMES = "abcdefghij"

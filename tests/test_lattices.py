@@ -432,3 +432,10 @@ class TestEnumerationCanonical:
         bases = [s.preimage.basis for s in subs]
         assert all(a < b for a, b in zip(bases, bases[1:]))
         assert len(subs) == subgroup_count_by_subsets(group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_finite_groups())
+    def test_coset_reps_are_canonical_and_complete(self, group):
+        reps = list(group.relations.coset_reps())
+        assert len(reps) == len(set(reps)) == group.order()
+        assert all(group.reduce(v) == v for v in reps)

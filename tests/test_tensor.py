@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from angk0.errors import EvenNUnsupportedError, InvalidTensorError
 from angk0.k0 import k0, relation_lattice
@@ -16,7 +17,7 @@ from angk0.tensor import (
     validate_tensor,
     verify_tensor_correspondence,
 )
-from support import random_valid_tensor
+from support import ideals_by_filter, object_prime_by_pairs, random_valid_tensor
 
 
 def make(n, rank, images=None, angles=()):
@@ -249,3 +250,75 @@ class TestTensorCorrespondence:
         report = verify_tensor_correspondence(zero_ring_tensor())
         assert report.ideal_count == 1
         assert report.all_verified
+
+
+def finite_ring(rng):
+    """The ring of a random valid tensor presentation, if finite of order
+    at most 64."""
+    r = ring(random_valid_tensor(rng))
+    assume(r.group.is_finite and r.group.order() <= 64)
+    return r
+
+
+class TestIdealOracles:
+    """enumerate_ideals against subgroups filtered for tensor closure, and
+    its prime flags against the pair-loop definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_ideals_and_primes_match_oracles(self, rng):
+        r = finite_ring(rng)
+        ideals = enumerate_ideals(r)
+        got = sorted(i.subgroup.preimage.basis for i in ideals)
+        assert got == sorted(lattice.basis for lattice in ideals_by_filter(r))
+        for ideal in ideals:
+            assert ideal.prime == object_prime_by_pairs(r, ideal.subgroup.preimage)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_no_preimage_twice(self, rng):
+        r = finite_ring(rng)
+        for preimages in (
+            [s.preimage for s in enumerate_subgroups(r.group)],
+            [i.subgroup.preimage for i in enumerate_ideals(r)],
+        ):
+            assert len(set(preimages)) == len(preimages)
+
+
+def identity_presentation(k):
+    # n = 3 and identity suspension: K0 = (Z/2)^k
+    names = tuple(f"e{i}" for i in range(k))
+    return Presentation(n=3, indec_names=names, suspension=Suspension(tuple(range(k))))
+
+
+def componentwise_power(k):
+    # F2^k: k orthogonal idempotents summing to the unit
+    table = {(i, j): basis_object(k, i) if i == j else (0,) * k
+             for i in range(k) for j in range(i, k)}
+    return TensorPresentation(identity_presentation(k), table, (1,) * k)
+
+
+def cyclic_group_ring(k):
+    # F2[C_k]: e_i (x) e_j = e_(i+j mod k), unit e_0
+    table = {(i, j): basis_object(k, (i + j) % k) for i in range(k) for j in range(i, k)}
+    return TensorPresentation(identity_presentation(k), table, basis_object(k, 0))
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_componentwise_power(self, k):
+        # 2^k ideals (one per subset of the idempotents); the primes are
+        # the k maximal ideals and R itself
+        ideals = enumerate_ideals(ring(componentwise_power(k)))
+        assert len(ideals) == 2**k
+        assert sum(i.prime for i in ideals) == k + 1
+
+    @pytest.mark.parametrize("k, count", [(1, 2), (2, 3), (3, 4), (4, 5)])
+    def test_cyclic_group_ring(self, k, count):
+        # ideals of F2[x]/(x^k - 1) are the divisors of x^k - 1 over F2
+        r = ring(cyclic_group_ring(k))
+        ideals = enumerate_ideals(r)
+        assert [i.subgroup.preimage for i in ideals] == ideals_by_filter(r)
+        assert len(ideals) == count
+        for ideal in ideals:
+            assert ideal.prime == object_prime_by_pairs(r, ideal.subgroup.preimage)
