@@ -23,7 +23,15 @@ from .errors import (
 )
 from .embeddings import Embedding, induced_hom, validate_embedding
 from .files import object_json
-from .k0 import Witness, equal_classes, k0, relation_lattice, witness_search
+from .k0 import (
+    WITNESS_LIMIT,
+    Witness,
+    equal_classes,
+    k0,
+    relation_lattice,
+    witness_cost,
+    witness_search,
+)
 from .lattices import is_surjective
 from .presentations import validate_presentation
 from .tensor import validate_tensor, verify_tensor_correspondence
@@ -370,6 +378,11 @@ def cmd_witness(args):
     digests = {"presentation": files.digest(p, loaded.tensor)}
     result = k0(p)
     equal = equal_classes(result, left, right)
+    if equal and left != right and witness_cost(p, args.bound) > WITNESS_LIMIT:
+        raise refuse(
+            f"WitnessBound: more than {WITNESS_LIMIT} angle sums within bound {args.bound}",
+            digests,
+        )
     results = {
         "left": object_json(p.indec_names, left),
         "right": object_json(p.indec_names, right),

@@ -3,12 +3,15 @@
 The group is the quotient of Z^(symbols) by the relation lattice spanned by
 the Euler vectors of the listed angles together with one suspension row per
 symbol (the Euler vector of a rotated trivial angle).  A bounded witness
-search certifies class equalities constructively.
+search certifies class equalities constructively: it walks the multisets of
+pool angles in `combinations_with_replacement` order, each angle sum one
+packed integer built from its prefix by a single addition, which needs
+nonnegative multiplicities.  `witness_cost` counts those sums in closed
+form, so the command line can refuse a search past WITNESS_LIMIT first.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .lattices import FgAbelianGroup, GroupElement, Lattice, quotient_group
@@ -182,6 +185,37 @@ def _witness_pool(p: Presentation, bound: int):
     return pool
 
 
+# Most angle sums a witness search may form; `angk0 witness` refuses a
+# larger search before it starts.
+WITNESS_LIMIT = 750_000
+
+
+def witness_cost(p: Presentation, bound: int) -> int:
+    """Number of angle sums `witness_search` forms for a != b, from the
+    pool size alone.
+
+    The pool holds P = n * (#angles + C(r + bound, bound) - 1) angles and
+    the search forms one sum per multiset of at most `bound` of them,
+    C(P + bound, bound) in all.  The count is exact up to WITNESS_LIMIT;
+    past it multiplication stops, so a huge bound costs nothing and the
+    value returned is only known to exceed the limit.
+    """
+    pool = p.n * (len(p.angles) + _binomial_past(p.rank + bound, p.rank, WITNESS_LIMIT) - 1)
+    return _binomial_past(pool + bound, min(pool, bound), WITNESS_LIMIT)
+
+
+def _binomial_past(top: int, k: int, cap: int) -> int:
+    """C(top, k), or the first partial product C(top - k + i, i) above cap;
+    the partial products only grow, so either way the result exceeds cap
+    exactly when C(top, k) does."""
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (top - k + i) // i
+        if out > cap:
+            break
+    return out
+
+
 def witness_search(p: Presentation, a, b, bound: int):
     """Bounded search for a class-equality witness.
 
@@ -190,6 +224,13 @@ def witness_search(p: Presentation, a, b, bound: int):
     are A + C_1 and B + C_1 for a common nonnegative C_1.  Equal objects get
     a canonical self-witness (the shared trivial angle on A).  Returns the
     first witness in deterministic order, else NotFound(bound).
+
+    Each sum is one packed integer (`_pack`), built from its prefix by one
+    addition, and the multisets are visited in the order of
+    `itertools.combinations_with_replacement`, size by size, so the first
+    sum of each key and the witness returned are those of the plain scan.
+    Packing needs nonnegative multiplicities: a listed angle with a negative
+    entry raises ValueError.
     """
     a = object_vec(a)
     b = object_vec(b)
@@ -207,25 +248,75 @@ def witness_search(p: Presentation, a, b, bound: int):
         return Witness(complements=complements, left_terms=(term,), right_terms=(term,))
 
     pool = _witness_pool(p, bound)
-    # (tail, head) -> first combo with that sum.  A left sum qualifies by its
-    # key alone, so the first qualifying sum is the first of its key.
-    first: dict[tuple, tuple[int, ...]] = {}
-    for size in range(bound + 1):
-        for combo in itertools.combinations_with_replacement(range(len(pool)), size):
-            vertices = [zero_object(p.rank)] * p.n
-            for idx in combo:
-                angle = pool[idx][1]
-                vertices = [add_objects(x, y) for x, y in zip(vertices, angle.vertices)]
-            first.setdefault((tuple(vertices[1:]), vertices[0]), combo)
+    flat = [[x for v in angle.vertices for x in v] for _, angle in pool]
+    if any(x < 0 for row in flat for x in row):
+        raise ValueError("angle multiplicities must be nonnegative")
+    # a field of a sum of at most `bound` pool angles never exceeds this
+    width = (bound * max((x for row in flat for x in row), default=0)).bit_length()
+    first = _first_sums([_pack(row, width) for row in flat], bound)
 
-    for (tail, head), combo in first.items():
-        c1 = tuple(h - x for h, x in zip(head, a))
-        if any(c < 0 for c in c1):
+    # A left sum with head h qualifies when C_1 = h - A >= 0 and its match
+    # head B + C_1 fits its field; the match key is then key + shift.
+    limit = 1 << width
+    head_mask = (1 << (width * p.rank)) - 1
+    shift = _pack(b, width) - _pack(a, width)
+    qualifies: dict[int, bool] = {}
+    for key, combo in first.items():
+        head = key & head_mask
+        ok = qualifies.get(head)
+        if ok is None:
+            ok = qualifies[head] = all(
+                h >= x and h - x + y < limit
+                for h, x, y in zip(_unpack(head, width, p.rank), a, b)
+            )
+        if not ok:
             continue
-        match = first.get((tail, tuple(x + c for x, c in zip(b, c1))))
+        match = first.get(key + shift)
         if match is None:
             continue
+        fields = _unpack(key, width, p.n * p.rank)
+        vertices = [tuple(fields[i:i + p.rank]) for i in range(0, len(fields), p.rank)]
+        c1 = tuple(h - x for h, x in zip(vertices[0], a))
         left_terms = tuple(pool[i][0] for i in combo)
         right_terms = tuple(pool[i][0] for i in match)
-        return Witness(complements=(c1,) + tail, left_terms=left_terms, right_terms=right_terms)
+        return Witness(complements=(c1,) + tuple(vertices[1:]), left_terms=left_terms,
+                       right_terms=right_terms)
     return NotFound(bound)
+
+
+def _pack(values, width: int) -> int:
+    """Fixed-width fields, values[i] at bits i*width; values are >= 0 and
+    below 2**width."""
+    out = 0
+    for x in reversed(values):
+        out = (out << width) | x
+    return out
+
+
+def _unpack(key: int, width: int, count: int) -> list[int]:
+    mask = (1 << width) - 1
+    return [(key >> (i * width)) & mask for i in range(count)]
+
+
+def _first_sums(packed: list[int], bound: int) -> dict[int, tuple[int, ...]]:
+    """Each packed sum of at most `bound` pool entries, mapped to the first
+    multiset of pool indices forming it.
+
+    A multiset of size s is its size s-1 prefix plus one index no smaller
+    than the prefix's last, which walks each size in the order of
+    `combinations_with_replacement`.
+    """
+    first: dict[int, tuple[int, ...]] = {0: ()}
+    level = [(0, 0, ())]  # (sum, least next index, combo) of each prefix
+    for size in range(1, bound + 1):
+        grow = size < bound
+        longer = []
+        for total, start, combo in level:
+            for j in range(start, len(packed)):
+                key = total + packed[j]
+                if key not in first:
+                    first[key] = combo + (j,)
+                if grow:
+                    longer.append((key, j, combo + (j,)))
+        level = longer
+    return first

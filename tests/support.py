@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's reduction paths:
 invariant factors come from gcds of k x k minors, memberships from
 exhaustive small-coefficient searches, subgroup counts from subsets
 closed under addition, ring ideals from filtering every subgroup for
-tensor closure, and prime flags from every pair of elements.
+tensor closure, prime flags from every pair of elements, and witnesses
+from a scan that sums every multiset of pool angles vertex by vertex.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ import itertools
 import math
 import random
 
+from angk0.k0 import AngleTerm, NotFound, Witness, _witness_pool
 from angk0.presentations import (
     Angle,
     Presentation,
     Suspension,
+    add_objects,
     basis_object,
     object_vec,
+    trivial_angle,
+    zero_object,
 )
 from angk0.lattices import enumerate_subgroups
 from angk0.tensor import TensorPresentation, _tensor_escapes, tensor_int_vectors
@@ -148,6 +153,59 @@ def object_prime_by_pairs(r, preimage):
                 if not (u in preimage or w in preimage):
                     return False
     return True
+
+
+def witness_search_by_scan(p: Presentation, a, b, bound: int):
+    """The witness search as a plain scan: every multiset of at most `bound`
+    pool angles summed vertex by vertex on tuples, keyed by (tail, head)."""
+    a = object_vec(a)
+    b = object_vec(b)
+    if len(a) != p.rank or len(b) != p.rank:
+        raise ValueError("objects have wrong length")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if a == b:
+        term = AngleTerm("trivial", 0, obj=a)
+        angle = trivial_angle(p, a, 1)
+        complements = (zero_object(p.rank),) + angle.vertices[1:]
+        if not any(a):
+            # the zero object needs no summand at all
+            return Witness(complements=(zero_object(p.rank),) * p.n, left_terms=(), right_terms=())
+        return Witness(complements=complements, left_terms=(term,), right_terms=(term,))
+
+    pool = _witness_pool(p, bound)
+    # (tail, head) -> first combo with that sum.  A left sum qualifies by its
+    # key alone, so the first qualifying sum is the first of its key.
+    first: dict[tuple, tuple[int, ...]] = {}
+    for size in range(bound + 1):
+        for combo in itertools.combinations_with_replacement(range(len(pool)), size):
+            vertices = [zero_object(p.rank)] * p.n
+            for idx in combo:
+                angle = pool[idx][1]
+                vertices = [add_objects(x, y) for x, y in zip(vertices, angle.vertices)]
+            first.setdefault((tuple(vertices[1:]), vertices[0]), combo)
+
+    for (tail, head), combo in first.items():
+        c1 = tuple(h - x for h, x in zip(head, a))
+        if any(c < 0 for c in c1):
+            continue
+        match = first.get((tail, tuple(x + c for x, c in zip(b, c1))))
+        if match is None:
+            continue
+        left_terms = tuple(pool[i][0] for i in combo)
+        right_terms = tuple(pool[i][0] for i in match)
+        return Witness(complements=(c1,) + tail, left_terms=left_terms, right_terms=right_terms)
+    return NotFound(bound)
+
+
+def object_vectors_by_filter(rank: int, max_total: int, include_zero: bool = False):
+    """Every vector of (max_total + 1)^rank, kept when its total fits."""
+    for v in itertools.product(range(max_total + 1), repeat=rank):
+        if sum(v) > max_total:
+            continue
+        if not include_zero and not any(v):
+            continue
+        yield v
 
 
 _NAMES = "abcdefghij"

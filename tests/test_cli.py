@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -292,6 +293,35 @@ class TestWitness:
         capsys.readouterr()
         assert code == 2
 
+    def test_huge_bound_refused_before_search(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "f2.json", F2)
+        searches = count_calls(monkeypatch, "cli", "witness_search")
+        start = time.perf_counter()
+        code, doc = run_json(
+            ["witness", path, "--left", '{"x": 1}', "--right", '{"x": 3}',
+             "--bound", "1000000000"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert doc["results"]["reason"].startswith("WitnessBound: ")
+        assert searches == []
+
+    @pytest.mark.parametrize(
+        "doc, left, right",
+        [(F2, '{"x": 1}', '{"x": 1}'), (C_SINGLE, '{"c": 1}', '{"c": 2}')],
+        ids=["same-object", "unequal"],
+    )
+    def test_huge_bound_without_search_runs(self, tmp_path, capsys, doc, left, right):
+        # equal objects take the self-witness and unequal classes are not
+        # searched, so neither forms an angle sum
+        path = write(tmp_path, "doc.json", doc)
+        code, _ = run_json(
+            ["witness", path, "--left", left, "--right", right, "--bound", "1000000000"],
+            capsys,
+        )
+        assert code == 0
+
 
     @pytest.mark.parametrize(
         "doc, left, right",
@@ -482,6 +512,8 @@ GOLDEN_RUNS = {
                           "--bound", "0"],
     "witness-unequal": ["witness", "c.json", "--left", '{"c": 1}', "--right", '{"c": 2}'],
     "witness-bad-literal": ["witness", "f2.json", "--left", '{"zz": 1}', "--right", "{}"],
+    "witness-bound": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}',
+                      "--bound", "1000000000"],
 }
 
 
@@ -661,6 +693,12 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: unknown symbol 'zz'\n",
         2,
+    ),
+    "witness-bound": (
+        "95a518f96e3cef45a0d29ea9e2e4adb29b415494adb02d62000e8c8f8702c81f",
+        "899cc12e1d253a39521e1065652d068a495bc5a6094b9810b6f3035a319916e2",
+        "",
+        3,
     ),
 }
 

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from angk0.k0 import (
+    WITNESS_LIMIT,
     NotFound,
     Witness,
+    _witness_pool,
     class_of,
     equal_classes,
     euler_vector,
@@ -13,6 +16,7 @@ from angk0.k0 import (
     object_for_element,
     relation_lattice,
     sum_of_terms,
+    witness_cost,
     witness_search,
 )
 from angk0.lattices import Lattice
@@ -27,9 +31,15 @@ from angk0.presentations import (
     rotate_angle,
     suspend_object,
     trivial_angle,
+    validate_presentation,
     zero_object,
 )
-from support import count_cosets_exhaustive, random_object, random_presentation
+from support import (
+    count_cosets_exhaustive,
+    random_object,
+    random_presentation,
+    witness_search_by_scan,
+)
 
 
 def make(n, rank, images=None, angles=()):
@@ -290,3 +300,85 @@ class TestWitnessSearch:
             assert isinstance(outcome, Witness)
             check_witness(p, a, b, outcome)
             built += 1
+
+
+@st.composite
+def witness_inputs(draw):
+    """A valid presentation (n = 3..6, r <= 3, any suspension, 0-2 angles),
+    a bound in 0..3 and a pair of objects: equal objects, an object and the
+    zero object, two independent objects (so unequal classes come up), or a
+    pair with equal classes by a suspension row."""
+    n = draw(st.integers(3, 6))
+    rank = draw(st.integers(1, 3))
+    images = draw(st.permutations(range(rank)))
+    obj = st.tuples(*[st.integers(0, 2)] * rank)
+    angles = draw(st.lists(st.tuples(*[obj] * n), max_size=2))
+    p = Presentation(
+        n=n,
+        indec_names=tuple("abc"[:rank]),
+        suspension=Suspension(tuple(images)),
+        angles=tuple(Angle(v) for v in angles),
+    )
+    a = draw(obj)
+    kind = draw(st.sampled_from(["equal", "zero", "free", "suspension"]))
+    if kind == "equal":
+        b = a
+    elif kind == "zero":
+        b = zero_object(rank)
+    elif kind == "free":
+        b = draw(obj)
+    elif n % 2:
+        # [X] + [SX] = 0 for odd n
+        e = basis_object(rank, draw(st.integers(0, rank - 1)))
+        b = add_objects(a, add_objects(e, suspend_object(p, e)))
+    else:
+        # [SX] = [X] for even n
+        b = suspend_object(p, a)
+    if draw(st.booleans()):
+        a, b = b, a
+    return p, a, b, draw(st.integers(0, 3))
+
+
+class TestWitnessOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(witness_inputs())
+    def test_matches_scan(self, case):
+        p, a, b, bound = case
+        assert validate_presentation(p).valid
+        # the scan oracle sums tuples vertex by vertex; keep it fast
+        assume(witness_cost(p, bound) <= 8000)
+        outcome = witness_search(p, a, b, bound)
+        event(f"bound {bound}, {type(outcome).__name__}, " + ("a == b" if a == b else "classes ")
+              + ("" if a == b else "equal" if equal_classes(k0(p), a, b) else "unequal"))
+        assert outcome == witness_search_by_scan(p, a, b, bound)
+
+    def test_negative_angle_multiplicity_rejected(self):
+        p = make(3, 1, angles=(Angle(((1,), (-1,), (0,))),))
+        with pytest.raises(ValueError):
+            witness_search(p, (1,), (2,), 1)
+
+
+
+class TestWitnessCost:
+    def test_counts_the_enumeration(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            p = random_presentation(rng, max_rank=3, max_angles=2, n=rng.choice([3, 4, 5, 6]))
+            bound = rng.randint(0, 3)
+            pool = len(_witness_pool(p, bound))
+            sums = sum(
+                1
+                for size in range(bound + 1)
+                for _ in itertools.combinations_with_replacement(range(pool), size)
+            )
+            if sums <= WITNESS_LIMIT:
+                assert witness_cost(p, bound) == sums
+
+    def test_closed_form(self):
+        # P = 3 * (1 + C(5, 2) - 1) = 30 pool angles, C(30 + 2, 2) sums
+        assert witness_cost(G1, 2) == 496
+        assert witness_cost(G2, 0) == 1
+
+    def test_huge_bound_stops_at_the_limit(self):
+        assert witness_cost(G1, 10**9) > WITNESS_LIMIT
+        assert witness_cost(make(7, 6), 10**18) > WITNESS_LIMIT
