@@ -4,6 +4,11 @@ Exit codes: 0 success or verdict delivered, 1 I/O or parse error,
 2 validation failure, 3 unsupported regime (even n, infinite group, order
 bound).  Reports are deterministic and byte-identical across runs and
 thread settings.
+
+The argument parser is built once, when this module is imported, and every
+`main` call in the process reuses it.  A `--json` report is written by
+`files.report_json`, byte for byte as `json.dumps(sort_keys=True, indent=2)`
+would write it.
 """
 
 from __future__ import annotations
@@ -376,8 +381,7 @@ def cmd_witness(args):
     except ValueError as exc:
         raise _error(exc, EXIT_VALIDATION)
     digests = {"presentation": files.digest(p, loaded.tensor)}
-    result = k0(p)
-    equal = equal_classes(result, left, right)
+    equal = equal_classes(relation_lattice(p), left, right)
     if equal and left != right and witness_cost(p, args.bound) > WITNESS_LIMIT:
         raise refuse(
             f"WitnessBound: more than {WITNESS_LIMIT} angle sums within bound {args.bound}",
@@ -479,8 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if _thread_cap() is None:
         print("error: ANGK0_THREADS must be a nonnegative integer", file=sys.stderr)
         return EXIT_VALIDATION
@@ -498,7 +505,7 @@ def main(argv=None) -> int:
             "digest": digests,
             "results": results,
         }
-        lines = [json.dumps(document, sort_keys=True, indent=2)]
+        lines = [files.report_json(document)]
     try:
         print("\n".join(lines))
     except OSError as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import AngK0Error
 from .presentations import Angle, ObjectVec, Presentation, Suspension
@@ -254,6 +255,37 @@ def serialize(p: Presentation, tensor: TensorPresentation | None = None) -> dict
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def report_json(x, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(x, sort_keys=True, indent=2)`` for what reports
+    hold: str-keyed dicts, lists, tuples, str, int, bool and None.
+
+    ``indent`` turns off json's C encoder, so reports are written here
+    instead.  ``newline`` is a line break plus the indent of x's line.
+    """
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + report_json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [report_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def digest(p: Presentation, tensor: TensorPresentation | None = None) -> str:

@@ -92,11 +92,12 @@ def class_of(k: K0Result, v) -> GroupElement:
     return k.group.element(v)
 
 
-def equal_classes(k: K0Result, a, b) -> bool:
+def equal_classes(relations: Lattice, a, b) -> bool:
+    """[a] == [b] in Z^r / relations; K0 needs only the relation lattice."""
     a, b = tuple(a), tuple(b)
-    if len(a) != len(b) or len(a) != k.presentation.rank:
+    if len(a) != len(b) or len(a) != relations.ambient_rank:
         raise ValueError("objects have wrong length")
-    return tuple(x - y for x, y in zip(a, b)) in k.relation_lattice
+    return tuple(x - y for x, y in zip(a, b)) in relations
 
 
 def object_for_element(k: K0Result, x: GroupElement):

@@ -477,6 +477,13 @@ class Subgroup:
         self.group = group
         self.preimage = preimage
 
+    @classmethod
+    def _above_relations(cls, group: FgAbelianGroup, preimage: Lattice) -> "Subgroup":
+        # preimage is a join onto group.relations: skip the containment test
+        sub = object.__new__(cls)
+        sub.group, sub.preimage = group, preimage
+        return sub
+
     def contains(self, element: GroupElement) -> bool:
         if element.group != self.group:
             raise ValueError("element of a different group")
@@ -519,17 +526,18 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
     return Subgroup(group, group.relations.join(rows))
 
 
-def _join_closure(lattice: Lattice, rows_of) -> list[Lattice]:
-    # Close a full-rank lattice under joins with rows_of(v) for each nonzero
-    # coset rep v.  rows_of(v) spans v's cyclic subgroup or principal ideal,
-    # whose join with a found lattice depends only on v's coset.
-    found, pending = {lattice}, [lattice]
+def _join_closure(group: FgAbelianGroup, rows_of) -> list[Subgroup]:
+    # Close a finite group's relations under joins with rows_of(v) for each
+    # nonzero coset rep v.  rows_of(v) spans v's cyclic subgroup or principal
+    # ideal, whose join with a found lattice depends only on v's coset.
+    found, pending = {group.relations}, [group.relations]
     while pending:
         current = pending.pop()
         new = {current.join(rows_of(v)) for v in current.coset_reps() if any(v)} - found
         found |= new
         pending += new
-    return sorted(found, key=lambda lat: lat.basis)
+    return [Subgroup._above_relations(group, lattice)
+            for lattice in sorted(found, key=lambda lat: lat.basis)]
 
 
 def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
@@ -542,7 +550,7 @@ def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
-    return [Subgroup(group, lattice) for lattice in _join_closure(group.relations, lambda v: [v])]
+    return _join_closure(group, lambda v: [v])
 
 
 class GroupHom:

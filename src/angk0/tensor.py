@@ -255,8 +255,7 @@ def enumerate_ideals(r: K0Ring) -> list[RingIdeal]:
     """Every ideal: the relation lattice closed under joins with principal ideals."""
     if not r.group.is_finite:
         raise InfiniteGroupError("ideal enumeration requires a finite ring")
-    lattices = _join_closure(r.group.relations, lambda v: _principal_rows(r, v))
-    subgroups = [Subgroup(r.group, lattice) for lattice in lattices]
+    subgroups = _join_closure(r.group, lambda v: _principal_rows(r, v))
     return [RingIdeal(subgroup=s, prime=is_prime_ideal(r, s)) for s in subgroups]
 
 

@@ -134,6 +134,23 @@ class TestIsComplete:
         sub = SubcategoryLattice(p, relation_lattice(p))
         assert is_complete(k0(p), sub).holds
 
+    def test_one_containment_test_per_entry(self, monkeypatch):
+        # (Z/2)^3 has 16 subgroups; enumerated preimages contain the
+        # relations by construction, so only is_complete tests it
+        k = k0(make(3, 3))
+        tested = []
+        original = Lattice.contains_lattice
+        monkeypatch.setattr(Lattice, "contains_lattice",
+                            lambda self, other: tested.append(self) or original(self, other))
+        report = verify_correspondence(k)
+        assert report.subgroup_count == 16 and report.all_verified
+        assert sorted(lat.basis for lat in tested) == sorted(
+            e.subgroup.preimage.basis for e in report.entries)
+        # the public constructors still test it
+        with pytest.raises(ValueError):
+            subgroup_from_subcategory(k, SubcategoryLattice(k.presentation, Lattice(3)))
+        assert len(tested) == 17
+
     def test_holds_certificate_never_contradicted_by_scan(self):
         # when containment holds, the generator scan must find no violation
         rng = random.Random(71)

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ import time
 import pytest
 
 from angk0.cli import main
+from angk0.lattices import FgAbelianGroup
 
 G1 = {
     "n": 3,
@@ -378,6 +381,28 @@ class TestCallCounts:
         capsys.readouterr()
         assert len(lattices) == 1
 
+    def test_witness_builds_relations_only(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "f2.json", F2)
+        lattices = count_calls(monkeypatch, "k0", "relation_lattice")
+        groups = []
+        original = FgAbelianGroup.__init__
+        monkeypatch.setattr(FgAbelianGroup, "__init__",
+                            lambda self, rel: groups.append(rel) or original(self, rel))
+        assert main(["witness", path, "--left", '{"x": 1}', "--right", '{"x": 3}', "--json"]) == 0
+        capsys.readouterr()
+        assert (len(lattices), groups) == (1, [])
+
+    def test_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "g1.json", G1)
+        built = []
+        original = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or original(self, *a, **kw))
+        for args in (["k0", path], ["classify", path, "--json"], ["k0", path, "--json"]):
+            assert main(args) == 0
+        capsys.readouterr()
+        assert built == []
+
     def test_hom_builds_target_relations_once(self, tmp_path, capsys, monkeypatch):
         t = write(tmp_path, "t.json", T_SWAP)
         c = write(tmp_path, "c.json", C_SINGLE)
@@ -712,3 +737,29 @@ class TestGolden:
         text_sha, json_sha, stderr, code = GOLDEN[case]
         assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
         assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
+
+    def test_shuffled_in_one_process(self, tmp_path, monkeypatch, capsys):
+        # Every golden run twice per output mode, in one process and in shuffled
+        # order, between usage errors and refused thread settings: the one
+        # parser this process holds carries nothing from one call to the next.
+        monkeypatch.delenv("ANGK0_THREADS", raising=False)
+        runs = [(case, as_json) for case in GOLDEN_RUNS for as_json in (False, True)] * 2
+        runs += [("usage", None), ("threads", None)] * 6
+        random.Random(8).shuffle(runs)
+        for case, as_json in runs:
+            if case == "usage":
+                with pytest.raises(SystemExit) as exc:
+                    main(["classify", "g1.json", "--max-order", "many"])
+                out, err = capsys.readouterr()
+                assert (exc.value.code, out) == (2, "")
+                assert err.startswith("usage: angk0 classify")
+            elif case == "threads":
+                monkeypatch.setenv("ANGK0_THREADS", "many")
+                assert main(["k0", "g1.json", "--json"]) == 2
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", "error: ANGK0_THREADS must be a nonnegative integer\n")
+                monkeypatch.delenv("ANGK0_THREADS")
+            else:
+                text_sha, json_sha, stderr, code = GOLDEN[case]
+                expected = (json_sha if as_json else text_sha, stderr, code)
+                assert run_golden(case, as_json, tmp_path, monkeypatch, capsys) == expected

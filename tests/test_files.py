@@ -12,6 +12,7 @@ from angk0.files import (
     load_path,
     parse_document,
     parse_object_literal,
+    report_json,
     serialize,
 )
 from angk0.k0 import relation_lattice
@@ -129,6 +130,27 @@ class TestRoundTrip:
         loaded = parse_document(G1_DOC)
         text = canonical_json(serialize(loaded.presentation))
         assert json.loads(text) == serialize(loaded.presentation)
+
+
+# every code point, lone surrogates and control characters included
+REPORT_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | REPORT_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(REPORT_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_VALUES)
+def test_report_json_is_json_dumps(x):
+    assert report_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+def test_report_json_refuses_other_types():
+    with pytest.raises(TypeError):
+        report_json({"a": [1.5]})
 
 
 @st.composite
