@@ -257,8 +257,7 @@ def cmd_ring(args):
 
     constants = {}
     for (i, j), value in sorted(r.structure_constants().items()):
-        a, b = sorted((p.indec_names[i], p.indec_names[j]))
-        constants[f"{a}|{b}"] = list(value.vec)
+        constants[files.table_key(p.indec_names[i], p.indec_names[j])] = list(value.vec)
     ideals = []
     lines = [
         f"invariant factors: {list(r.group.invariant_factors)}",
@@ -305,10 +304,9 @@ def cmd_hom(args):
     t_pres = _load(args.t_path).presentation
     c_pres = _load(args.c_path).presentation
     try:
-        with open(args.map_path, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-    except OSError as exc:
-        raise _error(f"cannot read {args.map_path}: {exc}", EXIT_PARSE)
+        mapping = files.read_json(args.map_path)
+    except files.ParseError as exc:
+        raise _error(exc, EXIT_PARSE)
     except json.JSONDecodeError as exc:
         raise _error(f"{args.map_path}: invalid JSON: {exc.msg}", EXIT_PARSE)
     if not isinstance(mapping, dict) or not all(

@@ -40,6 +40,19 @@ class EmbeddingReport:
         return not self.violations
 
 
+def _iterate(images, x: int, power: int) -> int:
+    # images applied power times to x: the walk from x enters a cycle within
+    # len(images) steps, and the power reduces modulo the cycle's length.
+    step_of = {}  # the walk so far, in order
+    while len(step_of) < power and x not in step_of:
+        step_of[x] = len(step_of)
+        x = images[x]
+    if len(step_of) < power:
+        walk, start = list(step_of), step_of[x]
+        x = walk[start + (power - start) % (len(walk) - start)]
+    return x
+
+
 def validate_embedding(e: Embedding) -> EmbeddingReport:
     """Check injectivity and the suspension intertwining.
 
@@ -60,9 +73,7 @@ def validate_embedding(e: Embedding) -> EmbeddingReport:
     power = e.domain.n - 2
     for x in range(e.domain.rank):
         lhs = e.images[e.domain.suspension.images[x]]
-        rhs = e.images[x]
-        for _ in range(power):
-            rhs = e.target.suspension.images[rhs]
+        rhs = _iterate(e.target.suspension.images, e.images[x], power)
         if lhs != rhs:
             violations.append(
                 f"suspension intertwining fails at {e.domain.indec_names[x]}"

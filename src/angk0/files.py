@@ -49,14 +49,26 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
-def load_path(path: str) -> LoadedDocument:
+def read_json(path: str):
+    """The decoded JSON in a file.  Unreadable, non-UTF-8 or too deeply
+    nested files raise ParseError; invalid JSON raises json.JSONDecodeError,
+    which each caller words for itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def load_path(path: str) -> LoadedDocument:
+    try:
+        doc = read_json(path)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_document(doc)
@@ -175,7 +187,7 @@ def parse_document(doc) -> LoadedDocument:
             if left not in index or right not in index:
                 violations.append(f"tensor.table key {key!r}: unknown symbol")
                 continue
-            if min(left, right) != left:
+            if table_key(left, right) != key:
                 violations.append(
                     f"tensor.table key {key!r}: smaller name must come first"
                 )
@@ -226,6 +238,11 @@ def object_json(names, vec) -> dict:
     return {names[i]: vec[i] for i in range(len(names)) if vec[i]}
 
 
+def table_key(x: str, y: str) -> str:
+    """Tensor-table key of a symbol pair: the names joined by "|", smaller first."""
+    return "|".join(sorted((x, y)))
+
+
 def serialize(p: Presentation, tensor: TensorPresentation | None = None) -> dict:
     """Canonical document for a presentation (round-trips through parse)."""
     doc = {
@@ -244,8 +261,8 @@ def serialize(p: Presentation, tensor: TensorPresentation | None = None) -> dict
         table = {}
         for i in range(p.rank):
             for j in range(i, p.rank):
-                a, b = sorted((p.indec_names[i], p.indec_names[j]))
-                table[f"{a}|{b}"] = object_json(p.indec_names, tensor.product_basis(i, j))
+                key = table_key(p.indec_names[i], p.indec_names[j])
+                table[key] = object_json(p.indec_names, tensor.product_basis(i, j))
         doc["tensor"] = {
             "unit": object_json(p.indec_names, tensor.unit),
             "table": table,
@@ -298,6 +315,8 @@ def parse_object_literal(text: str, p: Presentation) -> ObjectVec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"object literal is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("object literal is nested too deeply") from None
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and _is_int(v) for k, v in raw.items()
     ):

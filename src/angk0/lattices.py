@@ -5,8 +5,9 @@ Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries in the normal-form routines can exceed machine words even for small
 inputs, so no fixed-width shortcuts are taken anywhere.
 
-Each normal form has one elimination, which carries companion matrices
-only on request.  `Lattice` and `FgAbelianGroup` use it transform-free;
+One elimination, the row Hermite form, serves both normal forms: the Smith
+form alternates it on rows and on columns.  It carries companion matrices
+only on request; `Lattice` and `FgAbelianGroup` use it transform-free, and
 only the public `hermite_normal_form` and `smith_normal_form` build the
 unimodular transforms.
 """
@@ -162,72 +163,37 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
 
 
-def _col_combine(a, v, t, j, row):
-    # Column analogue of _row_combine, acting on columns t and j; the same
-    # transformation is applied to the columns of v unless v is None.
-    at, aj = a[row][t], a[row][j]
-    if aj == 0:
-        return
-    rows = a if v is None else a + v
-    if at == 0:
-        for r in rows:
-            r[t], r[j] = r[j], r[t]
-    elif aj % at == 0:
-        q = aj // at
-        for r in rows:
-            r[j] -= q * r[t]
-    else:
-        x, y, g = xgcd(at, aj)
-        p, q = aj // g, at // g
-        for r in rows:
-            r[t], r[j] = x * r[t] + y * r[j], -p * r[t] + q * r[j]
-
-
 def _smith_diagonal(a, cols, u=None, v=None):
     # Bring the row lists a to Smith normal form in place, mirroring row
     # operations on u and column operations on v unless they are None, and
-    # return the diagonal.
-    nr, nc = len(a), cols
-    mats = (a,) if u is None else (a, u)
-    for t in range(min(nr, nc)):
-        while True:
-            # Smallest nonzero entry, first in row-major order on ties.
-            pivot = min(
-                ((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
-                default=None,
-            )
-            if pivot is None:
-                break
-            _, pi, pj = pivot
-            if pi != t:
-                for m in mats:
-                    m[t], m[pi] = m[pi], m[t]
-            if pj != t:
-                for r in a if v is None else a + v:
-                    r[t], r[pj] = r[pj], r[t]
-            while True:
-                for i in range(t + 1, nr):
-                    _row_combine(a, u, t, i, t)
-                for j in range(t + 1, nc):
-                    _col_combine(a, v, t, j, t)
-                if not any(a[t][t + 1 :]) and not any(a[i][t] for i in range(t + 1, nr)):
-                    break
-            # Divisibility fix-up: drag in a row holding an entry the corner
-            # does not divide; the corner strictly shrinks, so this ends.
-            offender = next(
-                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]),
-                None,
-            )
-            if offender is None:
-                break
-            for m in mats:
-                m[t] = [x + y for x, y in zip(m[t], m[offender])]
-        if a[t][t] < 0:
-            for m in mats:
-                m[t] = [-x for x in m[t]]
-        if a[t][t] == 0:
+    # return the diagonal.  Column and row Hermite eliminations alternate
+    # (Kannan and Bachem 1979); a column one is a row one on the transpose.
+    # The loop ends: each column+row pair strictly shrinks the leading
+    # unsettled diagonal entry or leaves its row and column clear for good,
+    # and the fix-up shrinks one diagonal entry to a proper divisor, leaving
+    # those before it alone.  The column pass goes first, as the row pass
+    # would reduce the added row away again and cycle on diag(2, 3).
+    n = min(len(a), cols)
+    if n == 0:
+        return []
+    vt = None if v is None else [list(col) for col in zip(*v)]
+    while True:
+        at = [list(col) for col in zip(*a)]
+        _hermite_rows(at, len(a), vt)
+        a[:] = [list(row) for row in zip(*at)]
+        _hermite_rows(a, cols, u)
+        # a is in row echelon form, so it is diagonal once no row holds an
+        # entry right of the diagonal.
+        if any(any(row[i + 1 :]) for i, row in enumerate(a)):
+            continue
+        t = next((i for i in range(n - 1) if a[i][i] and a[i + 1][i + 1] % a[i][i]), None)
+        if t is None:
             break
-    return [a[i][i] for i in range(min(nr, nc))]
+        for m in (a,) if u is None else (a, u):
+            m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
+    if v is not None:
+        v[:] = [list(row) for row in zip(*vt)]
+    return [a[i][i] for i in range(n)]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -260,6 +260,24 @@ class TestHom:
         code, doc = run_json(["hom", t, c, str(m)], capsys)
         assert code == 2
 
+    def test_huge_domain_arity_matches_its_residue(self, tmp_path, capsys):
+        # (n - 2) = 10**12 is even, so the identity domain suspension
+        # intertwines with the target swap exactly as at n = 4.
+        t = write(tmp_path, "t3.json", dict(T_SWAP, indecomposables=["p", "q", "s"],
+                                            suspension={"p": "q", "q": "p", "s": "s"}))
+        m = tmp_path / "map.json"
+        m.write_text(json.dumps({"c": "p"}), encoding="utf-8")
+        runs = []
+        for n in (4, 10**12 + 2):
+            c = write(tmp_path, f"c{n}.json", dict(C_SINGLE, n=n))
+            start = time.perf_counter()
+            code, doc = run_json(["hom", t, c, str(m)], capsys)
+            runs.append((code, doc["results"], time.perf_counter() - start))
+        assert runs[1][2] < 1.0
+        assert runs[0][:2] == runs[1][:2]
+        code, results, _ = runs[1]
+        assert code == 0 and results["well_defined"] and not results["surjective"]
+
 
 class TestWitness:
     def test_self(self, tmp_path, capsys):
@@ -505,6 +523,10 @@ GOLDEN_FILES = {
     "c_zz.map": {"c": "zz"},
     "broken.map": "{",
     "list.map": ["c"],
+    "latin1.json": '{"n": 3, "indecomposables": ["\xe9"]}'.encode("latin-1"),
+    "latin1.map": '{"c": "\xe9"}'.encode("latin-1"),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "deep.map": "{\"c\": " * 100_000 + "0" + "}" * 100_000,
 }
 
 # One run per report branch of every command.
@@ -539,6 +561,12 @@ GOLDEN_RUNS = {
     "witness-bad-literal": ["witness", "f2.json", "--left", '{"zz": 1}', "--right", "{}"],
     "witness-bound": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}',
                       "--bound", "1000000000"],
+    "validate-not-utf8": ["validate", "latin1.json"],
+    "validate-too-deep": ["validate", "deep.json"],
+    "hom-map-not-utf8": ["hom", "t.json", "c.json", "latin1.map"],
+    "hom-map-too-deep": ["hom", "t.json", "c.json", "deep.map"],
+    "witness-literal-too-deep": ["witness", "f2.json", "--left", "[" * 100_000 + "]" * 100_000,
+                                 "--right", "{}"],
 }
 
 
@@ -546,6 +574,9 @@ def run_golden(case, as_json, tmp_path, monkeypatch, capsys):
     """(sha256 of stdout, stderr, exit code) of one golden run."""
     monkeypatch.chdir(tmp_path)
     for name, doc in GOLDEN_FILES.items():
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+            continue
         text = doc if isinstance(doc, str) else json.dumps(doc)
         (tmp_path / name).write_text(text, encoding="utf-8")
     code = main(GOLDEN_RUNS[case] + (["--json"] if as_json else ["--text"]))
@@ -724,6 +755,36 @@ GOLDEN = {
         "899cc12e1d253a39521e1065652d068a495bc5a6094b9810b6f3035a319916e2",
         "",
         3,
+    ),
+    "validate-not-utf8": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: latin1.json: not UTF-8 text (invalid continuation byte)\n",
+        1,
+    ),
+    "validate-too-deep": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: deep.json: JSON nested too deeply\n",
+        1,
+    ),
+    "hom-map-not-utf8": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: latin1.map: not UTF-8 text (invalid continuation byte)\n",
+        1,
+    ),
+    "hom-map-too-deep": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: deep.map: JSON nested too deeply\n",
+        1,
+    ),
+    "witness-literal-too-deep": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: object literal is nested too deeply\n",
+        2,
     ),
 }
 

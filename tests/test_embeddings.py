@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -174,3 +175,32 @@ class TestIntertwining:
             for _ in range(power - 1):
                 s_t_pow = s_t_pow @ t.suspension.matrix()
             assert s_c @ m == m @ s_t_pow
+
+
+class TestLargeArity:
+    # sigma_T is a 3-cycle on p, q, r and a 2-cycle on s, t, so the
+    # intertwining at arity n depends on n - 2 modulo 6 alone.
+    T_CYCLES = make(3, ("p", "q", "r", "s", "t"), (1, 2, 0, 4, 3))
+    HUGE_N = 10**12 + 2
+
+    def verdicts(self, n):
+        c = make(n, ("c",), (0,))
+        return [
+            validate_embedding(Embedding(domain=c, target=self.T_CYCLES, images=(x,))).valid
+            for x in range(5)
+        ]
+
+    def test_huge_n_matches_its_residue(self):
+        small_n = 2 + (self.HUGE_N - 2) % 6
+        start = time.perf_counter()
+        huge = self.verdicts(self.HUGE_N)
+        assert time.perf_counter() - start < 1.0
+        assert huge == self.verdicts(small_n) == [False, False, False, True, True]
+
+    def test_matches_stepwise_power(self):
+        images = self.T_CYCLES.suspension.images
+        for n in range(3, 16):
+            powered = list(range(5))
+            for _ in range(n - 2):
+                powered = [images[y] for y in powered]
+            assert self.verdicts(n) == [y == x for x, y in enumerate(powered)]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -439,3 +439,56 @@ class TestEnumerationCanonical:
         reps = list(group.relations.coset_reps())
         assert len(reps) == len(set(reps)) == group.order()
         assert all(group.reduce(v) == v for v in reps)
+
+
+def assert_smith_form(cols, rows):
+    """smith_normal_form against its contract and sympy's invariant factors."""
+    m = IntMatrix(rows, cols=cols)
+    d, u, v = smith_normal_form(m)
+    assert u @ m @ v == d
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
+    diag = [d.entries[i][i] for i in range(min(m.rows, cols))]
+    assert all(x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    assert all(x >= 0 for x in diag)
+    assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+    expected = sympy_invariant_factors(Matrix(rows), domain=ZZ) if rows else ()
+    assert diag == [int(x) for x in expected]
+
+
+@st.composite
+def shuffled_diagonals(draw):
+    """(cols, rows): a diagonal matrix whose entries are products of 2, 3, 5
+    and 7 (or zero), padded with zero rows or columns, with its rows and
+    columns shuffled.  Entries that do not divide one another make the Smith
+    elimination repeat its divisibility fix-up."""
+    small = st.builds(
+        lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3],
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    )
+    diag = draw(st.lists(st.one_of(small, st.just(0)), min_size=1, max_size=6))
+    rows_n = len(diag) + draw(st.integers(0, 2))
+    cols = len(diag) + draw(st.integers(0, 2))
+    rows = [[0] * cols for _ in range(rows_n)]
+    for i, x in enumerate(diag):
+        rows[i][i] = x
+    row_perm = draw(st.permutations(range(rows_n)))
+    col_perm = draw(st.permutations(range(cols)))
+    return cols, [[rows[i][j] for j in col_perm] for i in row_perm]
+
+
+class TestSmithLoop:
+    """The Smith form alternates column and row Hermite eliminations; check
+    the public form on every shape and on diagonals that need the fix-up."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices())
+    def test_relation_matrices(self, case):
+        assert_smith_form(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_diagonals())
+    @example((2, [[2, 0], [0, 3]]))
+    @example((3, [[0, 0, 8], [0, 27, 0], [10, 0, 0]]))
+    def test_shuffled_diagonals(self, case):
+        assert_smith_form(*case)
