@@ -380,6 +380,13 @@ def cmd_witness(args):
         raise _error(exc, EXIT_VALIDATION)
     digests = {"presentation": files.digest(p, loaded.tensor)}
     equal = equal_classes(relation_lattice(p), left, right)
+    if left == right and p.n * p.rank > WITNESS_LIMIT:
+        # the self-witness lists n complements of r multiplicities each
+        raise refuse(
+            f"WitnessBound: the self-witness has {p.n * p.rank} complement fields, "
+            f"more than {WITNESS_LIMIT}",
+            digests,
+        )
     if equal and left != right and witness_cost(p, args.bound) > WITNESS_LIMIT:
         raise refuse(
             f"WitnessBound: more than {WITNESS_LIMIT} angle sums within bound {args.bound}",

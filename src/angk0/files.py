@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -51,8 +52,9 @@ def _is_int(x) -> bool:
 
 def read_json(path: str):
     """The decoded JSON in a file.  Unreadable, non-UTF-8 or too deeply
-    nested files raise ParseError; invalid JSON raises json.JSONDecodeError,
-    which each caller words for itself."""
+    nested files, and integers past the interpreter's digit limit, raise
+    ParseError; invalid JSON raises json.JSONDecodeError, which each caller
+    words for itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -64,6 +66,13 @@ def read_json(path: str):
         return json.loads(text)
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the interpreter's limit on the digits of an int read from a string
+        raise ParseError(
+            f"{path}: JSON integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def load_path(path: str) -> LoadedDocument:

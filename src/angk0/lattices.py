@@ -5,11 +5,15 @@ Everything runs on Python's arbitrary-precision integers.  Intermediate
 entries in the normal-form routines can exceed machine words even for small
 inputs, so no fixed-width shortcuts are taken anywhere.
 
-One elimination, the row Hermite form, serves both normal forms: the Smith
-form alternates it on rows and on columns.  It carries companion matrices
-only on request; `Lattice` and `FgAbelianGroup` use it transform-free, and
-only the public `hermite_normal_form` and `smith_normal_form` build the
-unimodular transforms.
+The row Hermite form serves both normal forms: the Smith form alternates it
+on rows and on columns.  It has two passes.  The plain elimination carries
+companion matrices on request; the public `hermite_normal_form` and
+`smith_normal_form`, `Lattice.join` and lattices of rank below r use it.
+The modular pass works mod a known multiple D of the index of a full-rank
+lattice, so no entry outgrows D: `Lattice` takes D from the gcd of the
+r x r minors that Bareiss elimination leaves, and `FgAbelianGroup` runs
+both Smith passes of a finite group mod its order (a cyclic one needs no
+Smith loop at all).
 """
 
 from __future__ import annotations
@@ -163,11 +167,14 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows)
 
 
-def _smith_diagonal(a, cols, u=None, v=None):
+def _smith_diagonal(a, cols, u=None, v=None, det=0):
     # Bring the row lists a to Smith normal form in place, mirroring row
     # operations on u and column operations on v unless they are None, and
     # return the diagonal.  Column and row Hermite eliminations alternate
     # (Kannan and Bachem 1979); a column one is a row one on the transpose.
+    # Given det, |det a| for a square nonsingular a, and no
+    # transforms, every pass runs mod det, as the row and column lattices of
+    # each matrix in the loop have index det.
     # The loop ends: each column+row pair strictly shrinks the leading
     # unsettled diagonal entry or leaves its row and column clear for good,
     # and the fix-up shrinks one diagonal entry to a proper divisor, leaving
@@ -179,9 +186,15 @@ def _smith_diagonal(a, cols, u=None, v=None):
     vt = None if v is None else [list(col) for col in zip(*v)]
     while True:
         at = [list(col) for col in zip(*a)]
-        _hermite_rows(at, len(a), vt)
+        if det:
+            at = _hermite_mod(at, len(a), det)
+        else:
+            _hermite_rows(at, len(a), vt)
         a[:] = [list(row) for row in zip(*at)]
-        _hermite_rows(a, cols, u)
+        if det:
+            a[:] = _hermite_mod(a, cols, det)
+        else:
+            _hermite_rows(a, cols, u)
         # a is in row echelon form, so it is diagonal once no row holds an
         # entry right of the diagonal.
         if any(any(row[i + 1 :]) for i, row in enumerate(a)):
@@ -209,29 +222,129 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows), IntMatrix(v, cols=m.cols)
 
 
+def _bareiss(a, cols):
+    # Fraction-free elimination, in place, of the first cols - 1 columns of
+    # the rows a (len(a) >= cols >= 1).  By Sylvester's identity
+    # a[i][cols - 1] for i >= cols - 1 ends as a cols x cols minor of the
+    # input, taken on rows 0..cols-2 and row i.  Returns the sign of the row
+    # permutation, or 0 when some column has no pivot, which happens exactly
+    # when the rows have rank below cols.  A pivot of the previous pivot's
+    # size is preferred: rows with a zero in the pivot column then keep their
+    # entries up to sign, and on sparse rows most of them do.
+    sign, prev = 1, 1
+    for t in range(cols - 1):
+        p = None
+        for i in range(t, len(a)):
+            x = a[i][t]
+            if x == prev or x == -prev:
+                p = i
+                break
+            if x and p is None:
+                p = i
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            sign = -sign
+        pivot, head = a[t][t], a[t][t + 1 :]
+        for row in a[t + 1 :]:
+            x = row[t]
+            if x:
+                row[t + 1 :] = [(y * pivot - x * z) // prev for y, z in zip(row[t + 1 :], head)]
+            elif pivot == -prev:
+                row[t + 1 :] = [-y for y in row[t + 1 :]]
+            elif pivot != prev:
+                row[t + 1 :] = [y * pivot // prev for y in row[t + 1 :]]
+        prev = pivot
+    return sign
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return 1
     a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(a, m.cols) * a[-1][-1]
+
+
+def _minor_gcd(rows, cols) -> int:
+    # A positive multiple of [Z^cols : L] for the row span L of rows when L
+    # has full rank, else 0: the gcd of the cols x cols minors that Bareiss
+    # elimination leaves in the last column.
+    a = [list(row) for row in rows if any(row)]
+    if len(a) < cols:
+        return 0
+    if cols == 0:
+        return 1
+    if not _bareiss(a, cols):
+        return 0
+    return math.gcd(*(row[-1] for row in a[cols - 1 :]))
+
+
+def _hermite_mod(rows, cols, d):
+    # The Hermite basis of the full-rank lattice L spanned by rows, given a
+    # multiple d of [Z^cols : L], so that L contains d * Z^cols and entries
+    # can be reduced mod d (Domich, Kannan and Trotter 1987; Cohen, GTM 138,
+    # Alg. 2.4.8).  Column j's pivot is g = gcd(column j, d).  The lattice
+    # left below it, L' = {v in L : v_0 = ... = v_j = 0}, has index dividing
+    # d / g, so the pass goes on mod d / g and needs no extra row.  Work rows
+    # are full length but only read right of the current column; an entry
+    # that is 0 mod d counts as 0.
+    basis, mod = [], d
+    work = [[x % d for x in row] for row in rows]
+    for j in range(cols):
+        if d == 1:
+            basis += ([0] * k + [1] + [0] * (cols - k - 1) for k in range(j, cols))
+            break
+        live = [row for row in work if row[j] % d]
+        for unit in live:
+            if math.gcd(unit[j], d) == 1:
+                break
+        else:
+            unit = None
+        if unit is not None:
+            # one subtraction clears every other row
+            work = [row for row in work if row is not unit]
+            x = unit[j] % d
+            head = unit[j + 1 :] if x == 1 else [pow(x, -1, d) * y % d for y in unit[j + 1 :]]
+            for row in live:
+                if row is not unit:
+                    x = row[j]
+                    row[j + 1 :] = [(y - x * z) % d for y, z in zip(row[j + 1 :], head)]
+            basis.append([0] * j + [1] + head)
+            continue
+        if live:
+            piv = live[0]
+            work = [row for row in work if row is not piv]
+            for row in live[1:]:
+                a, b = piv[j], row[j]
+                if b % a == 0:
+                    q = b // a
+                    row[j + 1 :] = [(y - q * z) % d for y, z in zip(row[j + 1 :], piv[j + 1 :])]
+                    continue
+                x, y, g = xgcd(a, b)
+                p, q = b // g, a // g  # det [[x, y], [-p, q]] = 1
+                piv[j + 1 :], row[j + 1 :] = (
+                    [(x * s + y * t) % d for s, t in zip(piv[j + 1 :], row[j + 1 :])],
+                    [(q * t - p * s) % d for s, t in zip(piv[j + 1 :], row[j + 1 :])],
+                )
+                piv[j] = g
+            x, _, g = xgcd(piv[j], d)
+            d //= g
+            head = [x * v % d for v in piv[j + 1 :]]
+        else:
+            g, d, head = d, 1, [0] * (cols - j - 1)
+        basis.append([0] * j + [g] + head)
+    # Size reduction, mod the first d: d * e_k lies in the span of rows k..
+    for j in range(1, cols):
+        pivot_row = basis[j]
+        for i in range(j):
+            q = basis[i][j] // pivot_row[j]
+            if q:
+                basis[i][j:] = [(x - q * y) % mod for x, y in zip(basis[i][j:], pivot_row[j:])]
+    return basis
 
 
 class Lattice:
@@ -243,9 +356,13 @@ class Lattice:
 
     __slots__ = ("ambient_rank", "basis", "_pivot_of_col")
 
-    def __init__(self, ambient_rank: int, rows=()):
+    def __init__(self, ambient_rank: int, rows=(), *, _plain=False):
         a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
-        _hermite_rows(a, ambient_rank)
+        d = 0 if _plain else _minor_gcd(a, ambient_rank)
+        if d:
+            a = _hermite_mod(a, ambient_rank, d)
+        else:
+            _hermite_rows(a, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
         self._pivot_of_col = {
@@ -281,7 +398,10 @@ class Lattice:
 
     def join(self, rows) -> "Lattice":
         """Smallest lattice containing self and the given rows."""
-        return Lattice(self.ambient_rank, self.basis + tuple(tuple(r) for r in rows))
+        # The plain elimination meets a Hermite basis plus a few rows, which
+        # it finishes faster than Bareiss alone would run.
+        return Lattice(self.ambient_rank, self.basis + tuple(tuple(r) for r in rows),
+                       _plain=True)
 
     def is_full(self) -> bool:
         # A Hermite basis of full rank with unit pivots is the identity.
@@ -329,8 +449,17 @@ class FgAbelianGroup:
     def __init__(self, relations: Lattice):
         self.relations = relations
         self.ambient_rank = relations.ambient_rank
-        diag = _smith_diagonal([list(row) for row in relations.basis], self.ambient_rank)
-        self.invariant_factors = tuple(x for x in diag if x > 1)
+        basis = relations.basis
+        order = relations.index_in_ambient()
+        pivots = [row[i] for i, row in enumerate(basis) if row[i] > 1] if order else ()
+        if order and len(pivots) <= 1:
+            # Z^r / L is cyclic: every e_j with a unit pivot reduces to
+            # multiples of the one e_j whose pivot is above 1.
+            self.invariant_factors = tuple(pivots)
+        else:
+            diag = _smith_diagonal([list(row) for row in basis], self.ambient_rank,
+                                   det=order or 0)
+            self.invariant_factors = tuple(x for x in diag if x > 1)
         self.free_rank = self.ambient_rank - relations.rank
         # (pivot column, row) pairs in increasing column order; later rows
         # never touch earlier pivot columns, so greedy reduction lands in a

@@ -527,6 +527,9 @@ GOLDEN_FILES = {
     "latin1.map": '{"c": "\xe9"}'.encode("latin-1"),
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "deep.map": "{\"c\": " * 100_000 + "0" + "}" * 100_000,
+    "long_int.json": '{"n": ' + "3" * 5001 + ', "indecomposables": ["x"]}',
+    "long_int.map": '{"c": ' + "1" * 5001 + "}",
+    "f2_wide.json": dict(F2, n=750_001),
 }
 
 # One run per report branch of every command.
@@ -567,6 +570,11 @@ GOLDEN_RUNS = {
     "hom-map-too-deep": ["hom", "t.json", "c.json", "deep.map"],
     "witness-literal-too-deep": ["witness", "f2.json", "--left", "[" * 100_000 + "]" * 100_000,
                                  "--right", "{}"],
+    "validate-long-int": ["validate", "long_int.json"],
+    "hom-map-long-int": ["hom", "t.json", "c.json", "long_int.map"],
+    "witness-literal-long-int": ["witness", "f2.json", "--left", '{"x": ' + "1" * 5001 + "}",
+                                 "--right", "{}"],
+    "witness-self-bound": ["witness", "f2_wide.json", "--left", '{"x": 1}', "--right", '{"x": 1}'],
 }
 
 
@@ -785,6 +793,31 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: object literal is nested too deeply\n",
         2,
+    ),
+    "validate-long-int": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: long_int.json: JSON integer longer than 4300 digits\n",
+        1,
+    ),
+    "hom-map-long-int": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: long_int.map: JSON integer longer than 4300 digits\n",
+        1,
+    ),
+    "witness-literal-long-int": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: Exceeds the limit (4300 digits) for integer string conversion: value has 5001"
+        " digits; use sys.set_int_max_str_digits() to increase the limit\n",
+        2,
+    ),
+    "witness-self-bound": (
+        "2a2ea77baa79005a0c7002ee6d2a880953512e6c9592f31426b11cd3381c6b5d",
+        "6828f632876c7ed7a8ae765704767b01e92300965e928a6f27b47bd6bee5d8e4",
+        "",
+        3,
     ),
 }
 

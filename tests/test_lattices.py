@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from angk0.errors import InfiniteGroupError, NotWellDefinedError
 from angk0.lattices import (
@@ -21,6 +23,7 @@ from angk0.lattices import (
     subgroup_from_generators,
     xgcd,
 )
+from angk0.lattices import _minor_gcd
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
@@ -492,3 +495,135 @@ class TestSmithLoop:
     @example((3, [[0, 0, 8], [0, 27, 0], [10, 0, 0]]))
     def test_shuffled_diagonals(self, case):
         assert_smith_form(*case)
+
+
+def sympy_rank(cols, rows):
+    return DomainMatrix(rows, (len(rows), cols), ZZ).rank() if rows else 0
+
+
+def sympy_factors(rows):
+    return tuple(int(x) for x in sympy_invariant_factors(Matrix(rows), domain=ZZ) if x > 1)
+
+
+@st.composite
+def full_rank_matrices(draw, max_dim=12):
+    """(cols, rows): square and tall matrices of full rank, entries small or
+    up to 2^40, sometimes with a repeated row."""
+    cols = draw(st.integers(1, max_dim))
+    bound = draw(st.sampled_from([3, 2**40]))
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=cols, max_size=cols + 4))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    assume(sympy_rank(cols, rows) == cols)
+    return cols, rows
+
+
+@st.composite
+def unimodular_products(draw, max_dim=8):
+    """(cols, rows, diag): diag(d) mixed by random elementary row and column
+    operations, so its Smith form is that of diag(d).  The d_i are either
+    large and unrelated or multiples of one shared factor, which makes the
+    group far from cyclic."""
+    n = draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        diag = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    else:
+        p = draw(st.sampled_from([2, 3, 12, 2**31 - 1]))
+        diag = draw(st.lists(st.integers(1, 6).map(lambda k: p * k), min_size=n, max_size=n))
+    m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            continue
+        if draw(st.booleans()):
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[i] += c * row[j]
+    return n, m, diag
+
+
+def triangular_basis(r, seed):
+    """Upper-triangular Hermite basis: pivots d_j drawn from [1, 2^40] and
+    the entries above pivot j from [0, d_j)."""
+    rng = random.Random(seed)
+    piv = [rng.randint(1, 2**40) for _ in range(r)]
+    return [[0] * i + [piv[i]] + [rng.randrange(piv[j]) for j in range(i + 1, r)]
+            for i in range(r)]
+
+
+class TestModularHermite:
+    """A full-rank Lattice is built mod a multiple of its index, and a finite
+    group's Smith form mod its order; both must match the plain elimination
+    (hermite_normal_form keeps it) and sympy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(full_rank_matrices())
+    def test_full_rank_matches_plain_and_sympy(self, case):
+        cols, rows = case
+        lattice = Lattice(cols, rows)
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=cols))
+        assert [list(r) for r in lattice.basis] == nonzero_rows(h)
+        assert FgAbelianGroup(lattice).invariant_factors == sympy_factors(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_products())
+    def test_unimodular_products(self, case):
+        cols, rows, diag = case
+        lattice = Lattice(cols, rows)
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=cols))
+        assert [list(r) for r in lattice.basis] == nonzero_rows(h)
+        assert lattice.index_in_ambient() == math.prod(diag)
+        expected = sympy_factors([[x if i == j else 0 for j in range(cols)]
+                                  for i, x in enumerate(diag)])
+        assert FgAbelianGroup(lattice).invariant_factors == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(relation_matrices(), full_rank_matrices(max_dim=6)))
+    def test_minor_gcd(self, case):
+        cols, rows = case
+        d = _minor_gcd(rows, cols)
+        index = Lattice(cols, rows).index_in_ambient()
+        assert (d == 0) == (sympy_rank(cols, rows) < cols)
+        assert d == 0 if index is None else d > 0 and d % index == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_determinant_matches_sympy(self, rows):
+        # determinant shares its Bareiss elimination with _minor_gcd
+        n = len(rows)
+        expected = int(DomainMatrix(rows, (n, n), ZZ).det()) if n else 1
+        assert determinant(IntMatrix(rows, cols=n)) == expected
+
+    @pytest.mark.parametrize("r, windows", [(48, (0, 1)), (64, (0, 2))])
+    def test_tall_random_is_trivial(self, r, windows):
+        # (r + 4) x r, entries in [-3, 3]: the plain elimination did not
+        # finish in 120 s.  Two coprime r x r minors prove L = Z^r.
+        rng = random.Random(1)
+        rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r + 4)]
+        dets = [int(DomainMatrix(rows[k : k + r], (r, r), ZZ).det()) for k in windows]
+        assert math.gcd(*dets) == 1
+        lattice = Lattice(r, rows)
+        assert lattice.is_full()
+        group = FgAbelianGroup(lattice)
+        assert (group.invariant_factors, group.free_rank) == ((), 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32))
+    def test_triangular_bases(self, r, seed):
+        rows = triangular_basis(r, seed)
+        group = FgAbelianGroup(Lattice(r, rows))
+        assert group.invariant_factors == sympy_factors(rows)
+
+    def test_triangular_r18(self):
+        # The plain Smith elimination ran over 300 s on this basis.  Its
+        # invariant factors but the last, from sympy (about 15 s); the last
+        # is fixed by their product, the determinant.
+        rows = triangular_basis(18, 1)
+        factors = FgAbelianGroup(Lattice(18, rows)).invariant_factors
+        small = (2, 6, 5778)
+        assert factors == small + (math.prod(row[i] for i, row in enumerate(rows))
+                                   // math.prod(small),)
