@@ -7,6 +7,7 @@ from .errors import (
     InfiniteGroupError,
     InvalidTensorError,
     NotWellDefinedError,
+    WitnessBoundError,
 )
 from .lattices import (
     FgAbelianGroup,

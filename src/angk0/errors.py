@@ -31,3 +31,7 @@ class InvalidTensorError(AngK0Error):
     def __init__(self, message, violations=()):
         super().__init__(message)
         self.violations = tuple(violations)
+
+
+class WitnessBoundError(AngK0Error):
+    """A class-equality witness would exceed its size limit; raised first."""

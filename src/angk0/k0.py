@@ -2,19 +2,20 @@
 
 The group is the quotient of Z^(symbols) by the relation lattice spanned by
 the Euler vectors of the listed angles together with one suspension row per
-symbol (the Euler vector of a rotated trivial angle).  A bounded witness
-search certifies class equalities constructively: it walks the multisets of
-pool angles in `combinations_with_replacement` order, each angle sum one
-packed integer built from its prefix by a single addition, which needs
-nonnegative multiplicities.  `witness_cost` counts those sums in closed
-form, so the command line can refuse a search past WITNESS_LIMIT first.
+symbol (the Euler vector of a rotated trivial angle).  A class equality
+[A] = [B] is certified constructively: one reduced integer solve writes
+A - B over the relation rows (`lattices.reduced_solution`), and the
+coefficients become the two angle sums of a Thomason-style witness.  The
+witness is priced (terms plus complement fields) before it is built, and
+one past WITNESS_LIMIT raises WitnessBoundError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattices import FgAbelianGroup, GroupElement, Lattice, quotient_group
+from .errors import WitnessBoundError
+from .lattices import FgAbelianGroup, GroupElement, Lattice, quotient_group, reduced_solution
 from .presentations import (
     Angle,
     ObjectVec,
@@ -22,7 +23,6 @@ from .presentations import (
     add_objects,
     basis_object,
     direct_sum_angle,
-    iter_object_vectors,
     object_vec,
     rotate_angle,
     suspend_object,
@@ -164,74 +164,31 @@ class Witness:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Search exhausted without a witness; never evidence of inequality."""
+    """No witness exists: A - B is not in the relation lattice, so the
+    classes differ.  `bound` echoes the bound the caller passed."""
 
     bound: int
 
 
-def _witness_pool(p: Presentation, bound: int):
-    """Candidate summands: generators then trivial angles, each with all n
-    rotations, in the fixed deterministic order."""
-    pool = []
-    for gi, gen in enumerate(p.angles):
-        angle = gen
-        for rot in range(p.n):
-            pool.append((AngleTerm("generator", rot, index=gi), angle))
-            angle = rotate_angle(p, angle)
-    for obj in iter_object_vectors(p.rank, bound):
-        angle = trivial_angle(p, obj, 1)
-        for rot in range(p.n):
-            pool.append((AngleTerm("trivial", rot, obj=obj), angle))
-            angle = rotate_angle(p, angle)
-    return pool
-
-
-# Most angle sums a witness search may form; `angk0 witness` refuses a
-# larger search before it starts.
+# Most terms plus complement fields a witness may list; `witness_search`
+# refuses a larger one before building it.
 WITNESS_LIMIT = 750_000
 
 
-def witness_cost(p: Presentation, bound: int) -> int:
-    """Number of angle sums `witness_search` forms for a != b, from the
-    pool size alone.
-
-    The pool holds P = n * (#angles + C(r + bound, bound) - 1) angles and
-    the search forms one sum per multiset of at most `bound` of them,
-    C(P + bound, bound) in all.  The count is exact up to WITNESS_LIMIT;
-    past it multiplication stops, so a huge bound costs nothing and the
-    value returned is only known to exceed the limit.
-    """
-    pool = p.n * (len(p.angles) + _binomial_past(p.rank + bound, p.rank, WITNESS_LIMIT) - 1)
-    return _binomial_past(pool + bound, min(pool, bound), WITNESS_LIMIT)
-
-
-def _binomial_past(top: int, k: int, cap: int) -> int:
-    """C(top, k), or the first partial product C(top - k + i, i) above cap;
-    the partial products only grow, so either way the result exceeds cap
-    exactly when C(top, k) does."""
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (top - k + i) // i
-        if out > cap:
-            break
-    return out
-
-
 def witness_search(p: Presentation, a, b, bound: int):
-    """Bounded search for a class-equality witness.
+    """A witness for [A] = [B], or NotFound(bound) when the classes differ.
 
-    Direct sums of at most `bound` pool angles are formed; two sums witness
-    [A] = [B] when their vertex tuples agree except that the first vertices
-    are A + C_1 and B + C_1 for a common nonnegative C_1.  Equal objects get
-    a canonical self-witness (the shared trivial angle on A).  Returns the
-    first witness in deterministic order, else NotFound(bound).
-
-    Each sum is one packed integer (`_pack`), built from its prefix by one
-    addition, and the multisets are visited in the order of
-    `itertools.combinations_with_replacement`, size by size, so the first
-    sum of each key and the witness returned are those of the plain scan.
-    Packing needs nonnegative multiplicities: a listed angle with a negative
-    entry raises ValueError.
+    One reduced solve c . R = A - B over the relation rows R (generator
+    Euler vectors, then suspension rows) gives the terms, as in Thomason
+    (Compositio Math. 105, 1997): c_g copies of generator g and |c_j| copies
+    of the trivial angle on e_j rotated once (Euler vector: suspension row
+    j) go left when positive, else right.  Trivial angles on vertices K-1
+    and K even out vertices n..2, leaving the first vertices A - B apart;
+    one on max(0, A - L_1) on both sides makes C_1 = L_1 - A nonnegative.
+    Equal objects take c = 0: the shared trivial angle on A.  `bound` is
+    validated and echoed in NotFound; it limits nothing.  Raises
+    WitnessBoundError, before building, when the witness would list more
+    than WITNESS_LIMIT terms and complement fields.
     """
     a = object_vec(a)
     b = object_vec(b)
@@ -239,85 +196,63 @@ def witness_search(p: Presentation, a, b, bound: int):
         raise ValueError("objects have wrong length")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    fields = p.n * p.rank
     if a == b:
-        term = AngleTerm("trivial", 0, obj=a)
-        angle = trivial_angle(p, a, 1)
-        complements = (zero_object(p.rank),) + angle.vertices[1:]
-        if not any(a):
-            # the zero object needs no summand at all
-            return Witness(complements=(zero_object(p.rank),) * p.n, left_terms=(), right_terms=())
-        return Witness(complements=complements, left_terms=(term,), right_terms=(term,))
-
-    pool = _witness_pool(p, bound)
-    flat = [[x for v in angle.vertices for x in v] for _, angle in pool]
-    if any(x < 0 for row in flat for x in row):
+        if fields > WITNESS_LIMIT:
+            raise WitnessBoundError(
+                f"the self-witness has {fields} complement fields, more than {WITNESS_LIMIT}")
+        return _built_witness(p, a, (0,) * (len(p.angles) + p.rank))
+    if any(x < 0 for angle in p.angles for v in angle.vertices for x in v):
         raise ValueError("angle multiplicities must be nonnegative")
-    # a field of a sum of at most `bound` pool angles never exceeds this
-    width = (bound * max((x for row in flat for x in row), default=0)).bit_length()
-    first = _first_sums([_pack(row, width) for row in flat], bound)
+    rows = [euler_vector(p, g) for g in p.angles] + suspension_rows(p)
+    c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
+    if c is None:
+        return NotFound(bound)
+    # at most one evening-out term per side and vertex, and one C_1 term
+    terms = sum(map(abs, c)) + 2 * p.n
+    if terms + fields > WITNESS_LIMIT:
+        raise WitnessBoundError(
+            f"the witness lists up to {terms} terms and {fields} complement fields, "
+            f"more than {WITNESS_LIMIT} in all")
+    return _built_witness(p, a, c)
 
-    # A left sum with head h qualifies when C_1 = h - A >= 0 and its match
-    # head B + C_1 fits its field; the match key is then key + shift.
-    limit = 1 << width
-    head_mask = (1 << (width * p.rank)) - 1
-    shift = _pack(b, width) - _pack(a, width)
-    qualifies: dict[int, bool] = {}
-    for key, combo in first.items():
-        head = key & head_mask
-        ok = qualifies.get(head)
-        if ok is None:
-            ok = qualifies[head] = all(
-                h >= x and h - x + y < limit
-                for h, x, y in zip(_unpack(head, width, p.rank), a, b)
-            )
-        if not ok:
+
+def _built_witness(p: Presentation, a: ObjectVec, c) -> Witness:
+    n, g = p.n, len(p.angles)
+    left, right = [zero_object(p.rank)] * n, [zero_object(p.rank)] * n
+    left_terms, right_terms = [], []
+
+    def add(total, vertices, copies=1):
+        # vertices left at zero stay one shared tuple, so a large n is cheap
+        for i, v in vertices:
+            if any(v):
+                total[i] = tuple(x + copies * y for x, y in zip(total[i], v))
+
+    for total, terms, sign in ((left, left_terms, 1), (right, right_terms, -1)):
+        for i, x in enumerate(c[:g]):
+            if sign * x > 0:
+                terms += [AngleTerm("generator", 0, index=i)] * abs(x)
+                add(total, enumerate(p.angles[i].vertices), abs(x))
+        counts = [abs(x) if sign * x > 0 else 0 for x in c[g:]]
+        if any(counts):
+            for j, x in enumerate(counts):
+                terms += [AngleTerm("trivial", 1, obj=basis_object(p.rank, j))] * x
+            add(total, enumerate(rotate_angle(p, trivial_angle(p, counts, 1)).vertices))
+
+    # even out vertex K = i + 1 with a trivial angle on vertices K - 1 and K
+    for i in range(n - 1, 0, -1):
+        if left[i] == right[i]:
             continue
-        match = first.get(key + shift)
-        if match is None:
-            continue
-        fields = _unpack(key, width, p.n * p.rank)
-        vertices = [tuple(fields[i:i + p.rank]) for i in range(0, len(fields), p.rank)]
-        c1 = tuple(h - x for h, x in zip(vertices[0], a))
-        left_terms = tuple(pool[i][0] for i in combo)
-        right_terms = tuple(pool[i][0] for i in match)
-        return Witness(complements=(c1,) + tuple(vertices[1:]), left_terms=left_terms,
-                       right_terms=right_terms)
-    return NotFound(bound)
-
-
-def _pack(values, width: int) -> int:
-    """Fixed-width fields, values[i] at bits i*width; values are >= 0 and
-    below 2**width."""
-    out = 0
-    for x in reversed(values):
-        out = (out << width) | x
-    return out
-
-
-def _unpack(key: int, width: int, count: int) -> list[int]:
-    mask = (1 << width) - 1
-    return [(key >> (i * width)) & mask for i in range(count)]
-
-
-def _first_sums(packed: list[int], bound: int) -> dict[int, tuple[int, ...]]:
-    """Each packed sum of at most `bound` pool entries, mapped to the first
-    multiset of pool indices forming it.
-
-    A multiset of size s is its size s-1 prefix plus one index no smaller
-    than the prefix's last, which walks each size in the order of
-    `combinations_with_replacement`.
-    """
-    first: dict[int, tuple[int, ...]] = {0: ()}
-    level = [(0, 0, ())]  # (sum, least next index, combo) of each prefix
-    for size in range(1, bound + 1):
-        grow = size < bound
-        longer = []
-        for total, start, combo in level:
-            for j in range(start, len(packed)):
-                key = total + packed[j]
-                if key not in first:
-                    first[key] = combo + (j,)
-                if grow:
-                    longer.append((key, j, combo + (j,)))
-        level = longer
-    return first
+        for total, other, terms in ((left, right, left_terms), (right, left, right_terms)):
+            x = tuple(max(0, y - z) for y, z in zip(other[i], total[i]))
+            if any(x):
+                terms.append(AngleTerm("trivial", 0, obj=x) if i == 1 else
+                             AngleTerm("trivial", n - i + 1, obj=suspend_object(p, x, -1)))
+                add(total, ((i - 1, x), (i, x)))
+    x = tuple(max(0, y - z) for y, z in zip(a, left[0]))
+    for total, terms in ((left, left_terms), (right, right_terms)) if any(x) else ():
+        terms.append(AngleTerm("trivial", 0, obj=x))
+        add(total, ((0, x), (1, x)))
+    complements = (tuple(y - z for y, z in zip(left[0], a)),) + tuple(left[1:])
+    return Witness(complements=complements, left_terms=tuple(left_terms),
+                   right_terms=tuple(right_terms))

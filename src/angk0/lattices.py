@@ -347,6 +347,94 @@ def _hermite_mod(rows, cols, d):
     return basis
 
 
+def _pivot(row) -> int:
+    # Column of the first nonzero entry, or len(row) for a zero row.
+    return next((j for j, x in enumerate(row) if x), len(row))
+
+
+def reduced_solution(rows, target) -> tuple[int, ...] | None:
+    """A short integer c with sum_i c[i] * rows[i] == target, or None.
+
+    The LLL-based Hermite elimination of Havas, Majewski and Matthews
+    (Experiment. Math. 7(2), 1998, Alg. 4, less its sign normalisation)
+    echelons the rows by a small unimodular transform b, whose rows with a
+    zero echelon row come first as an LLL-reduced (delta 3/4) kernel basis.
+    b's Gram-Schmidt data are integers: d[i], the Gram determinant of rows
+    1..i, and lam[k][j] (Cohen, GTM 138, Alg. 2.6.7).  Back-substitution
+    gives one solution, and Babai's nearest plane on the kernel basis makes
+    |c| at most 2^(k/2) times the norm of any solution, k the kernel rank.
+    """
+    m, cols = len(rows), len(target)
+    a = [None] + [list(row) for row in rows]  # 1-based, like b, d and lam
+    if any(len(row) != cols for row in a[1:]):
+        raise ValueError("rows and target differ in length")
+    b = [None] + [[int(i == j) for j in range(m)] for i in range(m)]
+    d = [1] * (m + 1)
+    lam = [[0] * (m + 1) for _ in range(m + 1)]
+
+    def reduce(k, i):
+        # Euclid on an echelon row, size reduction on a kernel row.  Pivot
+        # signs are left as they fall, since no canonical form is needed.
+        col = _pivot(a[i])
+        q = a[k][col] // a[i][col] if col < cols else (2 * lam[k][i] + d[i]) // (2 * d[i])
+        if q:
+            a[k] = [x - q * y for x, y in zip(a[k], a[i])]
+            b[k] = [x - q * y for x, y in zip(b[k], b[i])]
+            lam[k][i] -= q * d[i]
+            for j in range(1, i):
+                lam[k][j] -= q * lam[i][j]
+
+    # Rows end zero rows first, then by strictly decreasing pivot column: a
+    # row swaps below its successor when its pivot is no later, and two
+    # kernel rows swap by the Lovasz condition.
+    k = 2
+    while k <= m:
+        reduce(k, k - 1)
+        col1, col2 = _pivot(a[k - 1]), _pivot(a[k])
+        mu = lam[k][k - 1]
+        if col1 < cols and col1 <= col2 or col1 == col2 == cols and (
+                4 * (d[k - 2] * d[k] + mu * mu) < 3 * d[k - 1] ** 2):
+            a[k], a[k - 1], b[k], b[k - 1] = a[k - 1], a[k], b[k - 1], b[k]
+            lam[k][1:k - 1], lam[k - 1][1:k - 1] = lam[k - 1][1:k - 1], lam[k][1:k - 1]
+            for i in range(k + 1, m + 1):
+                t = lam[i][k - 1] * d[k] - lam[i][k] * mu
+                lam[i][k - 1] = (lam[i][k - 1] * mu + lam[i][k] * d[k - 2]) // d[k - 1]
+                lam[i][k] = t // d[k - 1]
+            d[k - 1] = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+            k = max(k - 1, 2)
+        else:
+            for i in range(k - 2, 0, -1):
+                reduce(k, i)
+            k += 1
+
+    kernel = next((k for k in range(1, m + 1) if any(a[k])), m + 1) - 1
+    row_of = {_pivot(a[k]): k for k in range(kernel + 1, m + 1)}
+    v, c = [int(x) for x in target], [0] * m
+    for j in range(cols):
+        if v[j]:
+            k = row_of.get(j)
+            if k is None or v[j] % a[k][j]:
+                return None
+            q = v[j] // a[k][j]
+            v = [x - q * y for x, y in zip(v, a[k])]
+            c = [x + q * y for x, y in zip(c, b[k])]
+    # Nearest plane, with lc[j] = d[j-1] <c, b_j*> built like the
+    # coefficients of a row added to the integral LLL.
+    lc = [0] * (kernel + 1)
+    for j in range(1, kernel + 1):
+        u = sum(x * y for x, y in zip(c, b[j]))
+        for i in range(1, j):
+            u = (d[i] * u - lam[j][i] * lc[i]) // d[i - 1]
+        lc[j] = u
+    for j in range(kernel, 0, -1):
+        q = (2 * lc[j] + d[j]) // (2 * d[j])
+        if q:
+            c = [x - q * y for x, y in zip(c, b[j])]
+            for i in range(1, j):
+                lc[i] -= q * lam[j][i]
+    return tuple(c)
+
+
 class Lattice:
     """An integer row span inside Z^r, stored by its canonical Hermite basis.
 

@@ -14,14 +14,16 @@ import itertools
 import math
 import random
 
-from angk0.k0 import AngleTerm, NotFound, Witness, _witness_pool
+from angk0.k0 import AngleTerm, NotFound, Witness
 from angk0.presentations import (
     Angle,
     Presentation,
     Suspension,
     add_objects,
     basis_object,
+    iter_object_vectors,
     object_vec,
+    rotate_angle,
     trivial_angle,
     zero_object,
 )
@@ -155,9 +157,28 @@ def object_prime_by_pairs(r, preimage):
     return True
 
 
+def _witness_pool(p: Presentation, bound: int):
+    """Candidate summands: generators then trivial angles on objects of total
+    multiplicity at most `bound`, each with all n rotations, in a fixed
+    order."""
+    pool = []
+    for gi, gen in enumerate(p.angles):
+        angle = gen
+        for rot in range(p.n):
+            pool.append((AngleTerm("generator", rot, index=gi), angle))
+            angle = rotate_angle(p, angle)
+    for obj in iter_object_vectors(p.rank, bound):
+        angle = trivial_angle(p, obj, 1)
+        for rot in range(p.n):
+            pool.append((AngleTerm("trivial", rot, obj=obj), angle))
+            angle = rotate_angle(p, angle)
+    return pool
+
+
 def witness_search_by_scan(p: Presentation, a, b, bound: int):
-    """The witness search as a plain scan: every multiset of at most `bound`
-    pool angles summed vertex by vertex on tuples, keyed by (tail, head)."""
+    """A bounded witness search as a plain scan: every multiset of at most
+    `bound` pool angles summed vertex by vertex on tuples, keyed by (tail,
+    head).  NotFound here only means no witness within the bound."""
     a = object_vec(a)
     b = object_vec(b)
     if len(a) != p.rank or len(b) != p.rank:

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
+from angk0 import files
 from angk0.cli import main
+from angk0.k0 import euler_vector, sum_of_terms, suspension_rows, witness_search
 from angk0.lattices import FgAbelianGroup
 
 G1 = {
@@ -46,6 +48,10 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def literal(names, vec):
+    return json.dumps({x: v for x, v in zip(names, vec) if v})
 
 
 def run_json(args, capsys):
@@ -314,19 +320,17 @@ class TestWitness:
         capsys.readouterr()
         assert code == 2
 
-    def test_huge_bound_refused_before_search(self, tmp_path, capsys, monkeypatch):
+    def test_huge_bound_builds_the_same_witness(self, tmp_path, capsys, monkeypatch):
+        # --bound is validated and echoed; the witness comes from one solve
         path = write(tmp_path, "f2.json", F2)
+        args = ["witness", path, "--left", '{"x": 1}', "--right", '{"x": 3}']
+        _, small = run_json(args + ["--bound", "2"], capsys)
         searches = count_calls(monkeypatch, "cli", "witness_search")
         start = time.perf_counter()
-        code, doc = run_json(
-            ["witness", path, "--left", '{"x": 1}', "--right", '{"x": 3}',
-             "--bound", "1000000000"],
-            capsys,
-        )
+        code, doc = run_json(args + ["--bound", "1000000000"], capsys)
         assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert doc["results"]["reason"].startswith("WitnessBound: ")
-        assert searches == []
+        assert (code, doc["results"]["bound"], len(searches)) == (0, 1000000000, 1)
+        assert doc["results"]["witness"] == small["results"]["witness"] is not None
 
     @pytest.mark.parametrize(
         "doc, left, right",
@@ -334,8 +338,7 @@ class TestWitness:
         ids=["same-object", "unequal"],
     )
     def test_huge_bound_without_search_runs(self, tmp_path, capsys, doc, left, right):
-        # equal objects take the self-witness and unequal classes are not
-        # searched, so neither forms an angle sum
+        # equal objects take the self-witness and unequal classes build none
         path = write(tmp_path, "doc.json", doc)
         code, _ = run_json(
             ["witness", path, "--left", left, "--right", right, "--bound", "1000000000"],
@@ -343,6 +346,51 @@ class TestWitness:
         )
         assert code == 0
 
+    def test_oversized_witness_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # 750,000 copies of the suspension row 2x, priced before any is listed
+        path = write(tmp_path, "f2.json", F2)
+        built = count_calls(monkeypatch, "k0", "_built_witness")
+        start = time.perf_counter()
+        code, doc = run_json(
+            ["witness", path, "--left", '{"x": 1}', "--right", '{"x": 1500001}'], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert doc["results"]["reason"].startswith("WitnessBound: ")
+        assert built == []
+
+    @pytest.mark.parametrize("rank, n, angles", [(6, 5, 3), (16, 5, 6)], ids=["r6", "r16"])
+    def test_growth(self, tmp_path, capsys, rank, n, angles):
+        # r = 6, n = 5 at bound 3 was refused before the search (C(418, 3)
+        # angle sums at the least); an equal pair at r = 16 is one solve too
+        rng = random.Random(rank)
+        names = [f"s{j}" for j in range(rank)]
+        images = names[1:] + names[:1]
+        doc = {
+            "n": n,
+            "indecomposables": names,
+            "suspension": dict(zip(names, images)),
+            "angles": [[{x: v for x in names if (v := rng.randint(0, 2))} for _ in range(n)]
+                       for _ in range(angles)],
+        }
+        loaded = files.load_path(write(tmp_path, "p.json", doc))
+        p = loaded.presentation
+        rows = [euler_vector(p, g) for g in p.angles] + suspension_rows(p)
+        c = [rng.randint(-2, 2) for _ in rows]
+        diff = [sum(x * row[j] for x, row in zip(c, rows)) for j in range(rank)]
+        right = [max(0, -x) for x in diff]
+        left = [x + y for x, y in zip(right, diff)]
+        start = time.perf_counter()
+        code, report = run_json(
+            ["witness", write(tmp_path, "p.json", doc), "--left", literal(names, left),
+             "--right", literal(names, right), "--bound", "3"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, report["results"]["equal"]) == (0, True)
+        w = witness_search(p, left, right, 3)
+        assert len(report["results"]["witness"]["left_terms"]) == len(w.left_terms)
+        sums = [sum_of_terms(p, terms).vertices for terms in (w.left_terms, w.right_terms)]
+        c1 = w.complements[0]
+        assert sums[0] == (tuple(x + y for x, y in zip(left, c1)),) + w.complements[1:]
+        assert sums[1] == (tuple(x + y for x, y in zip(right, c1)),) + w.complements[1:]
 
     @pytest.mark.parametrize(
         "doc, left, right",
@@ -562,8 +610,9 @@ GOLDEN_RUNS = {
                           "--bound", "0"],
     "witness-unequal": ["witness", "c.json", "--left", '{"c": 1}', "--right", '{"c": 2}'],
     "witness-bad-literal": ["witness", "f2.json", "--left", '{"zz": 1}', "--right", "{}"],
-    "witness-bound": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}',
-                      "--bound", "1000000000"],
+    "witness-bound": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 1500001}'],
+    "witness-huge-bound": ["witness", "f2.json", "--left", '{"x": 1}', "--right", '{"x": 3}',
+                           "--bound", "1000000000"],
     "validate-not-utf8": ["validate", "latin1.json"],
     "validate-too-deep": ["validate", "deep.json"],
     "hom-map-not-utf8": ["hom", "t.json", "c.json", "latin1.map"],
@@ -735,14 +784,14 @@ GOLDEN = {
         1,
     ),
     "witness-found": (
-        "e14936ab32a26abfc901d67407eec1f878d4e334d31f68d35a06e9ef1ccae331",
-        "c27585a046c85106f31e8c458e53b5c96c4a59858cb388fb2c14a32eb7f64f79",
+        "a40204e40a73ec1d84f2f8a93facce82628e79328d284b98618d431c7890c225",
+        "7fd0a7901a90536ebec5b54b249faf47f0bfc08f66ba82f49db2f22dc5558be7",
         "",
         0,
     ),
     "witness-not-found": (
-        "0d03051048c5168b7ab5ccd79740620615045158ad77fea0e5fd281b5d56f0e1",
-        "d40a7ffd3672d5c8d08765c640841ddcb5da365c122f418375c8330d5fdef4ce",
+        "a40204e40a73ec1d84f2f8a93facce82628e79328d284b98618d431c7890c225",
+        "ca7b0d8d5f9ad52b6672325fcd75b8109b972c5e169d7526b4d65bd4d96e9a02",
         "",
         0,
     ),
@@ -759,10 +808,16 @@ GOLDEN = {
         2,
     ),
     "witness-bound": (
-        "95a518f96e3cef45a0d29ea9e2e4adb29b415494adb02d62000e8c8f8702c81f",
-        "899cc12e1d253a39521e1065652d068a495bc5a6094b9810b6f3035a319916e2",
+        "1160dbb8897ca6aad7ac6a054bced9ca6ffa2d77a26ccc050288b8517752dbd4",
+        "fed25903fd997ac3039237c83d5724e7af97ae13d61e0c8759a41fcef87e422f",
         "",
         3,
+    ),
+    "witness-huge-bound": (
+        "a40204e40a73ec1d84f2f8a93facce82628e79328d284b98618d431c7890c225",
+        "ddb6c5262314395e265cc782d678b4e95db540740fa0e8882951f57f8bfbcc3c",
+        "",
+        0,
     ),
     "validate-not-utf8": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -1,14 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from angk0.errors import WitnessBoundError
 from angk0.k0 import (
     WITNESS_LIMIT,
     NotFound,
     Witness,
-    _witness_pool,
     class_of,
     equal_classes,
     euler_vector,
@@ -16,10 +17,10 @@ from angk0.k0 import (
     object_for_element,
     relation_lattice,
     sum_of_terms,
-    witness_cost,
+    suspension_rows,
     witness_search,
 )
-from angk0.lattices import Lattice
+from angk0.lattices import Lattice, reduced_solution
 from angk0.presentations import (
     Angle,
     Presentation,
@@ -35,6 +36,7 @@ from angk0.presentations import (
     zero_object,
 )
 from support import (
+    _witness_pool,
     count_cosets_exhaustive,
     random_object,
     random_presentation,
@@ -213,6 +215,7 @@ class TestObjectForElement:
 
 
 def check_witness(p, a, b, w):
+    assert all(x >= 0 for c in w.complements for x in c)
     left = sum_of_terms(p, w.left_terms)
     right = sum_of_terms(p, w.right_terms)
     c1 = w.complements[0]
@@ -304,82 +307,133 @@ class TestWitnessSearch:
 
 @st.composite
 def witness_inputs(draw):
-    """A valid presentation (n = 3..6, r <= 3, any suspension, 0-2 angles),
-    a bound in 0..3 and a pair of objects: equal objects, an object and the
-    zero object, two independent objects (so unequal classes come up), or a
-    pair with equal classes by a suspension row."""
+    """A valid presentation (n = 3..6, r <= 5, any suspension, 0-2 angles),
+    a bound in 0..3, a pair of objects and, when the pair was made from one,
+    the planted combination c of relation rows with c . R = A - B (else
+    None).  Pairs: equal objects, an object and the zero object, two
+    independent objects (so unequal classes come up), a pair with equal
+    classes by suspension rows, or a planted small combination of all the
+    relation rows, shifted to nonnegative objects."""
     n = draw(st.integers(3, 6))
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 5))
     images = draw(st.permutations(range(rank)))
     obj = st.tuples(*[st.integers(0, 2)] * rank)
     angles = draw(st.lists(st.tuples(*[obj] * n), max_size=2))
     p = Presentation(
         n=n,
-        indec_names=tuple("abc"[:rank]),
+        indec_names=tuple("abcde"[:rank]),
         suspension=Suspension(tuple(images)),
         angles=tuple(Angle(v) for v in angles),
     )
+    g = len(angles)
     a = draw(obj)
-    kind = draw(st.sampled_from(["equal", "zero", "free", "suspension"]))
+    kind = draw(st.sampled_from(["equal", "zero", "free", "suspension", "planted"]))
+    planted = None
     if kind == "equal":
-        b = a
+        b, planted = a, (0,) * (g + rank)
     elif kind == "zero":
         b = zero_object(rank)
     elif kind == "free":
         b = draw(obj)
+    elif kind == "planted":
+        planted = draw(st.tuples(*[st.integers(-3, 3)] * (g + rank)))
+        rows = [euler_vector(p, x) for x in p.angles] + suspension_rows(p)
+        diff = [sum(c * row[j] for c, row in zip(planted, rows)) for j in range(rank)]
+        b = tuple(max(0, -x) for x in diff)
+        a = tuple(x + y for x, y in zip(b, diff))
     elif n % 2:
-        # [X] + [SX] = 0 for odd n
-        e = basis_object(rank, draw(st.integers(0, rank - 1)))
+        # [X] + [SX] = 0 for odd n: A - B = -(e_j + S e_j), minus row j
+        j = draw(st.integers(0, rank - 1))
+        e = basis_object(rank, j)
         b = add_objects(a, add_objects(e, suspend_object(p, e)))
+        planted = tuple(-int(i == g + j) for i in range(g + rank))
     else:
-        # [SX] = [X] for even n
+        # [SX] = [X] for even n: A - SA is the sum of a_j (e_j - S e_j)
         b = suspend_object(p, a)
+        planted = (0,) * g + a
     if draw(st.booleans()):
         a, b = b, a
-    return p, a, b, draw(st.integers(0, 3))
+        planted = planted and tuple(-x for x in planted)
+    return p, a, b, draw(st.integers(0, 3)), planted
+
+
+def copies(p, w):
+    """The coefficients c a constructed witness lists: copies of generator
+    g at rotation 0 and of the trivial angle on e_j at rotation 1, counted
+    positive on the left and negative on the right."""
+    c = [0] * (len(p.angles) + p.rank)
+    for terms, sign in ((w.left_terms, 1), (w.right_terms, -1)):
+        for t in terms:
+            if t.kind == "generator":
+                c[t.index] += sign
+            elif t.rotation == 1:
+                c[len(p.angles) + t.obj.index(1)] += sign
+    return tuple(c)
 
 
 class TestWitnessOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(witness_inputs())
-    def test_matches_scan(self, case):
-        p, a, b, bound = case
+    def test_witness_exactly_on_equal_classes(self, case):
+        p, a, b, bound, _ = case
         assert validate_presentation(p).valid
-        # the scan oracle sums tuples vertex by vertex; keep it fast
-        assume(witness_cost(p, bound) <= 8000)
+        equal = equal_classes(relation_lattice(p), a, b)
         outcome = witness_search(p, a, b, bound)
-        equal = a == b or equal_classes(relation_lattice(p), a, b)
-        event(f"bound {bound}, {type(outcome).__name__}, " + ("a == b" if a == b else "classes ")
-              + ("" if a == b else "equal" if equal else "unequal"))
-        assert outcome == witness_search_by_scan(p, a, b, bound)
+        event(("a == b" if a == b else "equal classes" if equal else "unequal classes"))
+        if equal:
+            assert isinstance(outcome, Witness)
+            check_witness(p, a, b, outcome)
+        else:
+            assert outcome == NotFound(bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(witness_inputs())
+    def test_finds_whatever_the_scan_finds(self, case):
+        p, a, b, _, _ = case
+        assume(a != b)
+        # the scan sums tuples vertex by vertex over C(P + k, k) multisets of
+        # the P pool angles at bound k: run the largest k <= 3 that stays fast
+        bound = max(k for k in range(4) if math.comb(len(_witness_pool(p, k)) + k, k) <= 4000)
+        found = isinstance(witness_search_by_scan(p, a, b, bound), Witness)
+        event(f"bound {bound}, scan finds {'a witness' if found else 'none'}")
+        if found:
+            outcome = witness_search(p, a, b, bound)
+            assert isinstance(outcome, Witness)
+            check_witness(p, a, b, outcome)
+
+    @settings(max_examples=100, deadline=None)
+    @given(witness_inputs())
+    def test_same_input_same_witness(self, case):
+        p, a, b, bound, _ = case
+        outcome = witness_search(p, a, b, bound)
+        assert witness_search(p, a, b, bound) == outcome
+        if isinstance(outcome, Witness):
+            # the bound no longer changes the result
+            assert witness_search(p, a, b, 0) == outcome
+
+    @settings(max_examples=200, deadline=None)
+    @given(witness_inputs())
+    def test_multipliers_near_the_planted_combination(self, case):
+        p, a, b, _, planted = case
+        assume(planted is not None and a != b)
+        rows = [euler_vector(p, x) for x in p.angles] + suspension_rows(p)
+        c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
+        kernel = len(rows) - Lattice(p.rank, rows).rank
+        event(f"kernel dimension {kernel}")
+        assert sum(x * x for x in c) <= 2**kernel * sum(x * x for x in planted)
+        assert copies(p, witness_search(p, a, b, 0)) == c
 
     def test_negative_angle_multiplicity_rejected(self):
         p = make(3, 1, angles=(Angle(((1,), (-1,), (0,))),))
         with pytest.raises(ValueError):
             witness_search(p, (1,), (2,), 1)
 
-
-
-class TestWitnessCost:
-    def test_counts_the_enumeration(self):
-        rng = random.Random(71)
-        for _ in range(40):
-            p = random_presentation(rng, max_rank=3, max_angles=2, n=rng.choice([3, 4, 5, 6]))
-            bound = rng.randint(0, 3)
-            pool = len(_witness_pool(p, bound))
-            sums = sum(
-                1
-                for size in range(bound + 1)
-                for _ in itertools.combinations_with_replacement(range(pool), size)
-            )
-            if sums <= WITNESS_LIMIT:
-                assert witness_cost(p, bound) == sums
-
-    def test_closed_form(self):
-        # P = 3 * (1 + C(5, 2) - 1) = 30 pool angles, C(30 + 2, 2) sums
-        assert witness_cost(G1, 2) == 496
-        assert witness_cost(G2, 0) == 1
-
-    def test_huge_bound_stops_at_the_limit(self):
-        assert witness_cost(G1, 10**9) > WITNESS_LIMIT
-        assert witness_cost(make(7, 6), 10**18) > WITNESS_LIMIT
+    def test_oversized_witness_raises_before_it_is_built(self):
+        # [x] = [x^1500001] in Z/2 needs 750,000 copies of the suspension row
+        with pytest.raises(WitnessBoundError, match="750006 terms"):
+            witness_search(G2, (1,), (1_500_001,), 0)
+        w = witness_search(G2, (1,), (2001,), 0)
+        assert copies(G2, w) == (-1000,)
+        check_witness(G2, (1,), (2001,), w)
+        with pytest.raises(WitnessBoundError, match="self-witness"):
+            witness_search(make(WITNESS_LIMIT + 1, 1), (1,), (1,), 0)

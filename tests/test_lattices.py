@@ -19,6 +19,7 @@ from angk0.lattices import (
     is_surjective,
     lattice_membership,
     quotient_group,
+    reduced_solution,
     smith_normal_form,
     subgroup_from_generators,
     xgcd,
@@ -371,6 +372,35 @@ def relation_matrices(draw, max_dim=6):
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
     return cols, rows
+
+
+def combination(c, rows, cols):
+    return [sum(x * row[j] for x, row in zip(c, rows)) for j in range(cols)]
+
+
+class TestReducedSolution:
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices(), st.data())
+    def test_solves_near_any_other_solution(self, case, data):
+        cols, rows = case
+        planted = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        target = combination(planted, rows, cols)
+        c = reduced_solution(rows, target)
+        assert combination(c, rows, cols) == target
+        # Babai's nearest plane on an LLL-reduced (delta 3/4) kernel basis
+        kernel = len(rows) - Lattice(cols, rows).rank
+        assert sum(x * x for x in c) <= 2**kernel * sum(x * x for x in planted)
+        assert reduced_solution(rows, target) == c
+
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices(), st.data())
+    def test_none_exactly_off_the_lattice(self, case, data):
+        cols, rows = case
+        target = data.draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols))
+        c = reduced_solution(rows, target)
+        assert (c is None) == (tuple(target) not in Lattice(cols, rows))
+        if c is not None:
+            assert combination(c, rows, cols) == target
 
 
 class TestTransformFreeCore:
