@@ -21,8 +21,6 @@ from .lattices import (
     hermite_normal_form,
     hom_from_generator_images,
     is_surjective,
-    lattice_membership,
-    quotient_group,
     smith_normal_form,
     subgroup_from_generators,
     xgcd,
@@ -57,9 +55,7 @@ from .classify import (
     SubcategoryLattice,
     is_complete,
     is_dense,
-    subcategory_from_subgroup,
     subgroup_from_subcategory,
-    summand_closure_check,
     verify_correspondence,
 )
 from .tensor import (

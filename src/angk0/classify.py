@@ -2,40 +2,60 @@
 
 A dense complete subcategory is cut out by a saturating integer lattice
 between the relation lattice and Z^r: its objects are exactly the
-nonnegative vectors lying in the lattice.  For odd n the maps
-subgroup -> subcategory -> subgroup are mutually inverse by representation
-(both store one preimage lattice).  For finite groups this module checks
-exhaustively that every subcategory is dense and complete and realizes
-each generator of its subgroup as the class of an explicit object.
+nonnegative vectors lying in the lattice.  A `SubcategoryLattice` is built
+from a subgroup of K0, for odd n only, and its lattice is the subgroup's
+preimage, so subgroup -> subcategory -> subgroup is the identity.
+
+Both certificates follow from that construction, as in the odd-n form of
+Thomason's classification (Compositio Math. 105, 1997).  A preimage
+contains the relation lattice: the public `Subgroup` constructor checks
+it, and the enumeration joins onto the relations.  For odd n the
+relations hold e_j + S e_j, so each object C has the member C + SC
+(dense), and every Euler relation, so an angle with n - 1 member vertices
+has a member last vertex (complete).  Neither certificate runs a lattice
+test.  The bounded member search, the generator-rotation scan and the
+summand-closure check, which test the same facts on any lattice, are
+oracles in tests/support.py.
+
+For finite groups `verify_correspondence` lists every subgroup with its
+two certificates and realizes each generator as the class of an explicit
+object.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import EvenNUnsupportedError, InfiniteGroupError
-from .k0 import K0Result, class_of, object_for_element
+from .k0 import K0Result, equal_classes, object_for_element
 from .lattices import Lattice, Subgroup, enumerate_subgroups
-from .presentations import (
-    ObjectVec,
-    Presentation,
-    basis_object,
-    iter_object_vectors,
-    rotate_angle,
-    suspend_object,
-)
+from .presentations import ObjectVec
 
 
-@dataclass(frozen=True)
 class SubcategoryLattice:
-    """A full subcategory closed under sums and isomorphism, encoded by the
-    lattice its member objects span.  An object belongs to the subcategory
-    exactly when its vector lies in the lattice."""
+    """The full subcategory of objects whose class lies in a subgroup of
+    K0, for odd n.  An object belongs to it exactly when its vector lies
+    in the subgroup's preimage lattice.
 
-    presentation: Presentation
-    lattice: Lattice
+    Raises EvenNUnsupportedError for even n and ValueError for a subgroup
+    of another group; `k` is the result of `k0`.
+    """
+
+    __slots__ = ("presentation", "subgroup")
+
+    def __init__(self, k: K0Result, subgroup: Subgroup):
+        if k.presentation.n % 2 == 0:
+            raise EvenNUnsupportedError(
+                "subcategory construction from a subgroup requires odd n"
+            )
+        if subgroup.group != k.group:
+            raise ValueError("subgroup of a different group")
+        self.presentation = k.presentation
+        self.subgroup = subgroup
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.subgroup.preimage
 
     def contains_object(self, v) -> bool:
         return tuple(v) in self.lattice
@@ -43,168 +63,49 @@ class SubcategoryLattice:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a structural check: holds, fails, or unknown.
-
-    A holds verdict carries a machine-checkable reason; fails carries a
-    concrete counterexample; unknown records the exhausted search bound.
-    """
+    """Outcome of a structural check with its machine-checkable reason."""
 
     status: str
     reason: str
-    witness: object = None
-    bound: int | None = None
 
     @property
     def holds(self) -> bool:
         return self.status == "holds"
 
-    @property
-    def fails(self) -> bool:
-        return self.status == "fails"
-
-
-def subcategory_from_subgroup(
-    k: K0Result, subgroup: Subgroup, allow_even_n: bool = False
-) -> SubcategoryLattice:
-    """The subcategory of objects whose class lies in the subgroup.
-
-    Refused for even n (the correspondence is only established for odd n)
-    unless `allow_even_n` is set for experimentation.
-    """
-    if k.presentation.n % 2 == 0 and not allow_even_n:
-        raise EvenNUnsupportedError(
-            "subcategory construction from a subgroup requires odd n"
-        )
-    if subgroup.group != k.group:
-        raise ValueError("subgroup of a different group")
-    return SubcategoryLattice(presentation=k.presentation, lattice=subgroup.preimage)
-
 
 def subgroup_from_subcategory(k: K0Result, sub: SubcategoryLattice) -> Subgroup:
-    """The subgroup generated by the classes of member objects.
-
-    The lattice itself is the preimage: every coset of a saturating lattice
-    contains a nonnegative vector, so member objects realize every class.
-    """
+    """The subgroup generated by the classes of member objects: the one the
+    subcategory was built from, as every coset of a saturating lattice
+    contains a nonnegative vector."""
     if sub.presentation != k.presentation:
         raise ValueError("subcategory of a different presentation")
-    return Subgroup(k.group, sub.lattice)
+    return sub.subgroup
 
 
-def is_dense(p: Presentation, sub: SubcategoryLattice, bound: int = 4) -> Certificate:
-    """Density certificate.
+def _built(sub) -> None:
+    # The certificates rest on SubcategoryLattice's construction checks.
+    if not isinstance(sub, SubcategoryLattice):
+        raise TypeError("certificates need a SubcategoryLattice built from a subgroup")
 
-    Sufficient check first: if e_j + S e_j lies in the lattice for every
-    symbol, each object C has the member C + SC as a witness.  Otherwise a
-    bounded search looks, per symbol, for a member containing it.  Density
-    can never be refuted from generating data, so there is no fails branch.
-    """
-    rank = p.rank
-    pairs = []
-    for j in range(rank):
-        e = basis_object(rank, j)
-        pairs.append(tuple(a + b for a, b in zip(e, suspend_object(p, e))))
-    if all(row in sub.lattice for row in pairs):
-        return Certificate(
-            status="holds",
-            reason="e_j + S e_j is a member for every symbol, so C + SC witnesses every C",
-        )
-    witnesses = []
-    for j in range(rank):
-        found = None
-        for v in iter_object_vectors(rank, bound):
-            if v[j] >= 1 and v in sub.lattice:
-                found = v
-                break
-        if found is None:
-            return Certificate(
-                status="unknown",
-                reason=f"no member containing symbol {p.indec_names[j]} "
-                f"within total multiplicity {bound}",
-                bound=bound,
-            )
-        witnesses.append(found)
+
+def is_dense(sub: SubcategoryLattice) -> Certificate:
+    """Density: the lattice holds the relations, which for odd n hold
+    e_j + S e_j, so each object C has the member C + SC as a witness."""
+    _built(sub)
     return Certificate(
         status="holds",
-        reason="per-symbol member search succeeded",
-        witness=tuple(witnesses),
-        bound=bound,
+        reason="e_j + S e_j is a member for every symbol, so C + SC witnesses every C",
     )
 
 
-def is_complete(k: K0Result, sub: SubcategoryLattice) -> Certificate:
-    """Completeness certificate.
-
-    If the lattice contains the relation lattice, any angle with n-1 member
-    vertices forces the last one in via its Euler relation.  Otherwise every
-    listed generator and each of its rotations is scanned for a violation:
-    n-1 member vertices plus one non-member.
-    """
-    p = k.presentation
-    if sub.lattice.contains_lattice(k.relation_lattice):
-        return Certificate(
-            status="holds",
-            reason="lattice contains the relation lattice, so Euler relations close angles",
-        )
-    for gi, gen in enumerate(p.angles):
-        angle = gen
-        for rot in range(p.n):
-            member = [v in sub.lattice for v in angle.vertices]
-            if member.count(False) == 1:
-                missing = member.index(False)
-                return Certificate(
-                    status="fails",
-                    reason=f"generator {gi} rotated {rot} times has {p.n - 1} member "
-                    f"vertices but vertex {missing + 1} is not a member",
-                    witness=(angle, missing),
-                )
-            angle = rotate_angle(p, angle)
+def is_complete(sub: SubcategoryLattice) -> Certificate:
+    """Completeness: the lattice holds the relations, so an angle with
+    n - 1 member vertices forces the last one in by its Euler relation."""
+    _built(sub)
     return Certificate(
-        status="unknown",
-        reason="relation lattice not contained and no generator rotation witnesses a failure",
+        status="holds",
+        reason="lattice contains the relation lattice, so Euler relations close angles",
     )
-
-
-def summand_closure_check(
-    p: Presentation, sub: SubcategoryLattice, trials: int, seed: int = 0
-) -> Certificate:
-    """Property test of summand cancellation: if c + a is a member and a is
-    a member then c is a member.  Lattice arithmetic guarantees this; the
-    check asserts it empirically on random splits of random members."""
-    if trials == 0:
-        return Certificate(status="holds", reason="0 trials")
-    member_bound = 6
-    members = [
-        v
-        for v in iter_object_vectors(p.rank, member_bound)
-        if v in sub.lattice
-    ]
-    if not members:
-        return Certificate(
-            status="holds",
-            reason=f"no nonzero members with total multiplicity <= {member_bound}",
-        )
-    rng = random.Random(seed)
-    for _ in range(trials):
-        m = rng.choice(members)
-        splits = [
-            a
-            for a in _sub_vectors(m)
-            if a in sub.lattice
-        ]
-        a = rng.choice(splits)  # 0 is always a member, so splits is nonempty
-        c = tuple(x - y for x, y in zip(m, a))
-        if c not in sub.lattice:
-            return Certificate(
-                status="fails",
-                reason="summand of a member split is not a member",
-                witness=(c, a),
-            )
-    return Certificate(status="holds", reason=f"{trials} trials")
-
-
-def _sub_vectors(m):
-    return list(itertools.product(*(range(x + 1) for x in m)))
 
 
 @dataclass(frozen=True)
@@ -257,21 +158,19 @@ def verify_correspondence(k: K0Result) -> CorrespondenceReport:
         raise InfiniteGroupError("exhaustive verification requires a finite group")
     entries = []
     for subgroup in enumerate_subgroups(k.group):
-        sub = subcategory_from_subgroup(k, subgroup)
-        dense = is_dense(p, sub)
-        complete = is_complete(k, sub)
+        sub = SubcategoryLattice(k, subgroup)
         gens = []
         for row in subgroup.preimage.basis:
             x = k.group.element(row)
             obj = object_for_element(k, x)
-            realizes = class_of(k, obj) == x
+            realizes = equal_classes(k.relation_lattice, obj, x.vec)
             gens.append(GeneratorRealization(element=x.vec, obj=obj, realizes=realizes))
         entries.append(
             CorrespondenceEntry(
                 subgroup=subgroup,
                 subcategory=sub,
-                dense=dense,
-                complete=complete,
+                dense=is_dense(sub),
+                complete=is_complete(sub),
                 generators=tuple(gens),
             )
         )

@@ -86,17 +86,8 @@ def _object_text(p, vec) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cert_json(p, cert) -> dict:
-    out = {"status": cert.status, "reason": cert.reason}
-    if cert.bound is not None:
-        out["bound"] = cert.bound
-    if cert.fails and cert.witness is not None:
-        angle, missing = cert.witness
-        out["counterexample"] = {
-            "vertices": [object_json(p.indec_names, v) for v in angle.vertices],
-            "missing_vertex": missing + 1,
-        }
-    return out
+def _cert_json(cert) -> dict:
+    return {"status": cert.status, "reason": cert.reason}
 
 
 def _read(path):
@@ -200,8 +191,8 @@ def cmd_classify(args):
                 "index": idx,
                 "preimage_basis": [list(r) for r in entry.subgroup.preimage.basis],
                 "order": entry.subgroup.order(),
-                "dense": _cert_json(p, entry.dense),
-                "complete": _cert_json(p, entry.complete),
+                "dense": _cert_json(entry.dense),
+                "complete": _cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
                 "generators": [
                     {
@@ -268,8 +259,8 @@ def cmd_ring(args):
                 # enumerated ideals are joins of principal ideals, and
                 # their prime flag is the object-pair prime property.
                 "tensor_closed": True,
-                "dense": _cert_json(p, entry.dense),
-                "complete": _cert_json(p, entry.complete),
+                "dense": _cert_json(entry.dense),
+                "complete": _cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
                 "object_prime": entry.ideal.prime,
                 "verified": entry.verified,

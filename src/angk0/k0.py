@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WitnessBoundError
-from .lattices import FgAbelianGroup, GroupElement, Lattice, quotient_group, reduced_solution
+from .lattices import FgAbelianGroup, GroupElement, Lattice, reduced_solution
 from .presentations import (
     Angle,
     ObjectVec,
@@ -82,7 +82,7 @@ class K0Result:
 
 def k0(p: Presentation) -> K0Result:
     lattice = relation_lattice(p)
-    return K0Result(presentation=p, relation_lattice=lattice, group=quotient_group(lattice))
+    return K0Result(presentation=p, relation_lattice=lattice, group=FgAbelianGroup(lattice))
 
 
 def class_of(k: K0Result, v) -> GroupElement:

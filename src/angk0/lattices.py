@@ -519,11 +519,6 @@ class Lattice:
         return f"Lattice({self.ambient_rank}, {[list(r) for r in self.basis]!r})"
 
 
-def lattice_membership(lattice: Lattice, vec) -> bool:
-    """Decide v in L by back-substitution against the Hermite basis."""
-    return tuple(vec) in lattice
-
-
 class FgAbelianGroup:
     """Z^r modulo an integer row lattice.
 
@@ -643,11 +638,6 @@ class GroupElement:
         return f"GroupElement({list(self.vec)!r})"
 
 
-def quotient_group(lattice: Lattice) -> FgAbelianGroup:
-    """The quotient of Z^r by an integer row lattice."""
-    return FgAbelianGroup(lattice)
-
-
 class Subgroup:
     """A subgroup of an FgAbelianGroup, stored as its full preimage lattice
     in Z^r (which always contains the relation lattice)."""
@@ -706,7 +696,7 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
         if g.group != group:
             raise ValueError("generator from a different group")
         rows.append(g.vec)
-    return Subgroup(group, group.relations.join(rows))
+    return Subgroup._above_relations(group, group.relations.join(rows))
 
 
 def _join_closure(group: FgAbelianGroup, rows_of) -> list[Subgroup]:

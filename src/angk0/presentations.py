@@ -37,34 +37,6 @@ def add_objects(v: ObjectVec, w: ObjectVec) -> ObjectVec:
     return tuple(a + b for a, b in zip(v, w))
 
 
-def iter_object_vectors(rank: int, max_total: int, include_zero: bool = False):
-    """Objects with total multiplicity <= max_total, in lexicographic order.
-
-    An odometer walk that visits only these vectors: below the total it
-    raises the last entry; at the total it clears the last nonzero entry
-    and raises the one before it.
-    """
-    if max_total < 0:
-        return
-    v = [0] * rank
-    total = 0
-    while True:
-        if total or include_zero:
-            yield tuple(v)
-        if rank and total < max_total:
-            v[-1] += 1
-            total += 1
-            continue
-        j = rank - 1
-        while j >= 0 and not v[j]:
-            j -= 1
-        if j <= 0:
-            return
-        total -= v[j] - 1
-        v[j] = 0
-        v[j - 1] += 1
-
-
 @dataclass(frozen=True)
 class Suspension:
     """The suspension automorphism as a permutation of symbol indices.

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import (
-    Certificate,
-    SubcategoryLattice,
-    is_complete,
-    is_dense,
-    subcategory_from_subgroup,
-)
+from .classify import Certificate, SubcategoryLattice, is_complete, is_dense
 from .errors import EvenNUnsupportedError, InfiniteGroupError, InvalidTensorError
 from .k0 import K0Result, k0 as compute_k0
 from .lattices import GroupElement, Lattice, Subgroup, _join_closure
@@ -300,13 +294,13 @@ def verify_tensor_correspondence(t: TensorPresentation) -> TensorCorrespondenceR
     k = r.result
     entries = []
     for ideal in enumerate_ideals(r):
-        sub = subcategory_from_subgroup(k, ideal.subgroup)
+        sub = SubcategoryLattice(k, ideal.subgroup)
         entries.append(
             TensorCorrespondenceEntry(
                 ideal=ideal,
                 subcategory=sub,
-                dense=is_dense(t.base, sub),
-                complete=is_complete(k, sub),
+                dense=is_dense(sub),
+                complete=is_complete(sub),
             )
         )
     return TensorCorrespondenceReport(

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's reduction paths:
 invariant factors come from gcds of k x k minors, memberships from
 exhaustive small-coefficient searches, subgroup counts from subsets
 closed under addition, ring ideals from filtering every subgroup for
-tensor closure, prime flags from every pair of elements, and witnesses
-from a scan that sums every multiset of pool angles vertex by vertex.
+tensor closure, prime flags from every pair of elements, witnesses
+from a scan that sums every multiset of pool angles vertex by vertex, and
+density, completeness and summand closure of a subcategory lattice from
+bounded searches over small objects and listed angles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from angk0.presentations import (
     Suspension,
     add_objects,
     basis_object,
-    iter_object_vectors,
     object_vec,
     rotate_angle,
     trivial_angle,
@@ -167,7 +168,7 @@ def _witness_pool(p: Presentation, bound: int):
         for rot in range(p.n):
             pool.append((AngleTerm("generator", rot, index=gi), angle))
             angle = rotate_angle(p, angle)
-    for obj in iter_object_vectors(p.rank, bound):
+    for obj in object_vectors_by_filter(p.rank, bound):
         angle = trivial_angle(p, obj, 1)
         for rot in range(p.n):
             pool.append((AngleTerm("trivial", rot, obj=obj), angle))
@@ -227,6 +228,49 @@ def object_vectors_by_filter(rank: int, max_total: int, include_zero: bool = Fal
         if not include_zero and not any(v):
             continue
         yield v
+
+
+def member_containing_each_symbol(p: Presentation, lattice, bound: int = 4):
+    """Per symbol, the first member object of total multiplicity at most
+    `bound` that contains it, or None when some symbol has none: a bounded
+    density search, which cannot refute density."""
+    found = []
+    for j in range(p.rank):
+        v = next((v for v in object_vectors_by_filter(p.rank, bound) if v[j] and v in lattice),
+                 None)
+        if v is None:
+            return None
+        found.append(v)
+    return tuple(found)
+
+
+def rotation_violation(p: Presentation, lattice):
+    """(angle, missing vertex index) for the first rotation of a listed
+    angle with n - 1 member vertices and one non-member, else None: a
+    completeness counterexample among the generators."""
+    for angle in p.angles:
+        for _ in range(p.n):
+            member = [v in lattice for v in angle.vertices]
+            if member.count(False) == 1:
+                return angle, member.index(False)
+            angle = rotate_angle(p, angle)
+    return None
+
+
+def summand_closure_holds(p: Presentation, lattice, trials: int, seed: int = 0) -> bool:
+    """Random test of summand cancellation: when m = c + a and a are
+    members, c is a member.  Members of total multiplicity at most 6 are
+    split at random."""
+    members = [v for v in object_vectors_by_filter(p.rank, 6) if v in lattice]
+    rng = random.Random(seed)
+    for _ in range(trials if members else 0):
+        m = rng.choice(members)
+        # 0 is a member, so some split is
+        a = rng.choice([a for a in itertools.product(*(range(x + 1) for x in m))
+                        if a in lattice])
+        if tuple(x - y for x, y in zip(m, a)) not in lattice:
+            return False
+    return True
 
 
 _NAMES = "abcdefghij"

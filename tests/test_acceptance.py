@@ -25,17 +25,16 @@ from angk0.k0 import (
     witness_search,
 )
 from angk0.lattices import (
+    FgAbelianGroup,
     IntMatrix,
     Lattice,
     determinant,
     enumerate_subgroups,
     hermite_normal_form,
-    quotient_group,
     smith_normal_form,
 )
 from angk0.presentations import (
     add_objects,
-    iter_object_vectors,
     rotate_angle,
     suspend_object,
     trivial_angle,
@@ -48,6 +47,7 @@ from angk0.presentations import Angle, Presentation, Suspension, basis_object
 from support import (
     count_cosets_exhaustive,
     invariant_factors_by_minors,
+    object_vectors_by_filter,
     random_object,
     random_presentation,
     random_valid_tensor,
@@ -197,7 +197,7 @@ def _two_term_sums(p, bound=2):
         for _ in range(p.n):
             pool.append(angle)
             angle = rotate_angle(p, angle)
-    for obj in iter_object_vectors(p.rank, bound):
+    for obj in object_vectors_by_filter(p.rank, bound):
         angle = trivial_angle(p, obj, 1)
         for _ in range(p.n):
             pool.append(angle)
@@ -377,7 +377,7 @@ def test_criterion_10_lattice_core_oracles():
         Lattice(2, [(2, 1), (0, 6)]),  # nondiagonal presentation of Z/12
     ]
     for lat in group_lattices:
-        g = quotient_group(lat)
+        g = FgAbelianGroup(lat)
         assert g.order() <= 16
         assert len(enumerate_subgroups(g)) == subgroup_count_by_subsets(g)
     elapsed = time.monotonic() - start

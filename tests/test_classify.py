@@ -2,21 +2,28 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import angk0.classify
+import angk0.tensor
 from angk0.classify import (
     SubcategoryLattice,
     is_complete,
     is_dense,
-    subcategory_from_subgroup,
     subgroup_from_subcategory,
-    summand_closure_check,
     verify_correspondence,
 )
 from angk0.errors import EvenNUnsupportedError, InfiniteGroupError
-from angk0.k0 import k0, relation_lattice
-from angk0.lattices import Lattice, enumerate_subgroups, subgroup_from_generators
-from angk0.presentations import Angle, Presentation, Suspension, basis_object, rotate_angle
-from support import random_presentation
+from angk0.k0 import k0
+from angk0.lattices import Lattice, Subgroup, enumerate_subgroups, subgroup_from_generators
+from angk0.presentations import Angle, Presentation, Suspension, basis_object
+from angk0.tensor import verify_tensor_correspondence
+from support import (
+    member_containing_each_symbol,
+    random_valid_tensor,
+    rotation_violation,
+    summand_closure_holds,
+)
 
 
 def make(n, rank, images=None, angles=()):
@@ -38,14 +45,14 @@ class TestSubcategoryFromSubgroup:
         full = subgroup_from_generators(
             k.group, [k.group.element(basis_object(3, j)) for j in range(3)]
         )
-        sub = subcategory_from_subgroup(k, full)
+        sub = SubcategoryLattice(k, full)
         assert sub.lattice.is_full()
         assert sub.contains_object((1, 2, 3))
 
     def test_trivial_subgroup(self):
         k = k0(G1)
         trivial = subgroup_from_generators(k.group, [])
-        sub = subcategory_from_subgroup(k, trivial)
+        sub = SubcategoryLattice(k, trivial)
         assert sub.lattice == k.relation_lattice
         # members are exactly the objects of class zero
         for v in itertools.product(range(3), repeat=3):
@@ -54,140 +61,212 @@ class TestSubcategoryFromSubgroup:
     def test_order_two_membership(self):
         k = k0(G1)
         h = subgroup_from_generators(k.group, [k.group.element(basis_object(3, 0))])
-        sub = subcategory_from_subgroup(k, h)
+        sub = SubcategoryLattice(k, h)
         assert sub.contains_object((1, 0, 0))
         assert not sub.contains_object((0, 1, 0))
         assert sub.contains_object((0, 1, 1))
 
     def test_even_n_refused(self):
+        # the certificates rest on odd n, so there is no override
         p = make(4, 1)
         k = k0(p)
         full = subgroup_from_generators(k.group, [k.group.element((1,))])
         with pytest.raises(EvenNUnsupportedError):
-            subcategory_from_subgroup(k, full)
-        # expert override still constructs
-        sub = subcategory_from_subgroup(k, full, allow_even_n=True)
-        assert sub.lattice.is_full()
+            SubcategoryLattice(k, full)
+
+    def test_subgroup_of_another_group_refused(self):
+        k = k0(G1)
+        other = k0(G2)
+        with pytest.raises(ValueError):
+            SubcategoryLattice(k, enumerate_subgroups(other.group)[0])
+
+    def test_certificates_refuse_other_objects(self):
+        k = k0(G1)
+        for cert in (is_dense, is_complete):
+            with pytest.raises(TypeError):
+                cert(k.relation_lattice)
 
 
 class TestSubgroupFromSubcategory:
     def test_round_trip_by_construction(self):
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            sub = subcategory_from_subgroup(k, h)
-            assert subgroup_from_subcategory(k, sub) == h
+            sub = SubcategoryLattice(k, h)
+            assert subgroup_from_subcategory(k, sub) is h
 
     def test_relation_lattice_gives_trivial_subgroup(self):
         k = k0(G1)
-        sub = SubcategoryLattice(G1, k.relation_lattice)
+        sub = SubcategoryLattice(k, Subgroup(k.group, k.relation_lattice))
         back = subgroup_from_subcategory(k, sub)
         assert back.order() == 1
 
     def test_coset_count(self):
         k = k0(G1)
-        sub = SubcategoryLattice(G1, k.relation_lattice.join([basis_object(3, 0)]))
-        assert subgroup_from_subcategory(k, sub).order() == 2
+        h = Subgroup(k.group, k.relation_lattice.join([basis_object(3, 0)]))
+        assert subgroup_from_subcategory(k, SubcategoryLattice(k, h)).order() == 2
+
+    def test_other_presentation_refused(self):
+        # same group, other presentation
+        k = k0(G1)
+        twin = k0(make(3, 3, angles=G1.angles + G1.angles))
+        assert twin.group == k.group
+        sub = SubcategoryLattice(twin, enumerate_subgroups(twin.group)[0])
+        with pytest.raises(ValueError):
+            subgroup_from_subcategory(k, sub)
 
 
 class TestIsDense:
     def test_odd_n_suspension_certificate(self):
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            cert = is_dense(G1, subcategory_from_subgroup(k, h))
+            cert = is_dense(SubcategoryLattice(k, h))
             assert cert.holds
-            assert "S e_j" in cert.reason or "e_j" in cert.reason
+            assert cert.reason == (
+                "e_j + S e_j is a member for every symbol, so C + SC witnesses every C")
 
     def test_even_n_zero_lattice_unknown(self):
-        p = make(4, 1)
-        cert = is_dense(p, SubcategoryLattice(p, Lattice(1)))
-        assert cert.status == "unknown"
-        assert cert.bound is not None
+        # the bounded search oracle can fail: no member holds the symbol
+        assert member_containing_each_symbol(make(4, 1), Lattice(1)) is None
 
     def test_even_n_full_lattice_holds(self):
-        p = make(4, 1)
-        cert = is_dense(p, SubcategoryLattice(p, Lattice(1, [(1,)])))
-        assert cert.holds
+        assert member_containing_each_symbol(make(4, 1), Lattice(1, [(1,)])) == ((1,),)
 
 
 class TestIsComplete:
     def test_containment_certificate(self):
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            cert = is_complete(k, subcategory_from_subgroup(k, h))
+            cert = is_complete(SubcategoryLattice(k, h))
             assert cert.holds
+            assert cert.reason == (
+                "lattice contains the relation lattice, so Euler relations close angles")
 
     def test_scan_finds_failure(self):
-        # one angle with a single vertex outside the even sublattice
-        p = make(
-            3,
-            3,
-            angles=(Angle(((2, 0, 0), (0, 1, 0), (0, 0, 2))),),
-        )
-        sub = SubcategoryLattice(p, Lattice(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
-        cert = is_complete(k0(p), sub)
-        assert cert.fails
-        angle, missing = cert.witness
+        # the rotation scan oracle can fail: one angle with a single vertex
+        # outside the even sublattice
+        p = make(3, 3, angles=(Angle(((2, 0, 0), (0, 1, 0), (0, 0, 2))),))
+        angle, missing = rotation_violation(p, Lattice(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]))
         assert angle.vertices[missing] == (0, 1, 0)
 
     def test_no_generators_holds(self):
         p = make(3, 2)
-        sub = SubcategoryLattice(p, relation_lattice(p))
-        assert is_complete(k0(p), sub).holds
+        k = k0(p)
+        sub = SubcategoryLattice(k, Subgroup(k.group, k.relation_lattice))
+        assert rotation_violation(p, sub.lattice) is None
+        assert is_complete(sub).holds
 
-    def test_one_containment_test_per_entry(self, monkeypatch):
-        # (Z/2)^3 has 16 subgroups; enumerated preimages contain the
-        # relations by construction, so only is_complete tests it
+    def test_no_lattice_test_per_entry(self, monkeypatch):
+        # (Z/2)^3 has 16 subgroups.  Each certificate runs once per entry,
+        # and none runs a containment or membership test.
         k = k0(make(3, 3))
-        tested = []
-        original = Lattice.contains_lattice
-        monkeypatch.setattr(Lattice, "contains_lattice",
-                            lambda self, other: tested.append(self) or original(self, other))
+        log = count_lattice_tests(monkeypatch, angk0.classify)
         report = verify_correspondence(k)
         assert report.subgroup_count == 16 and report.all_verified
-        assert sorted(lat.basis for lat in tested) == sorted(
-            e.subgroup.preimage.basis for e in report.entries)
-        # the public constructors still test it
+        # the only membership tests left realize the generators, one each
+        generators = sum(len(e.generators) for e in report.entries)
+        assert log == {"dense": 16, "complete": 16, "contains_lattice": 0,
+                       "member_in_certificate": 0, "member_elsewhere": generators}
+        # the public Subgroup constructor still tests containment
         with pytest.raises(ValueError):
-            subgroup_from_subcategory(k, SubcategoryLattice(k.presentation, Lattice(3)))
-        assert len(tested) == 17
+            Subgroup(k.group, Lattice(3))
+        assert log["contains_lattice"] == 1
 
-    def test_holds_certificate_never_contradicted_by_scan(self):
-        # when containment holds, the generator scan must find no violation
-        rng = random.Random(71)
-        for _ in range(30):
-            p = random_presentation(rng, max_rank=3, max_angles=2, n=3)
-            k = k0(p)
-            if not k.group.is_finite:
-                continue
-            for h in enumerate_subgroups(k.group):
-                sub = subcategory_from_subgroup(k, h)
-                assert is_complete(k, sub).holds
-                for gi, gen in enumerate(p.angles):
-                    angle = gen
-                    for _ in range(p.n):
-                        members = [v in sub.lattice for v in angle.vertices]
-                        assert members.count(False) != 1
-                        angle = rotate_angle(p, angle)
+    def test_ring_entries_run_no_lattice_test(self, monkeypatch):
+        t = random_valid_tensor(random.Random(3))
+        log = count_lattice_tests(monkeypatch, angk0.tensor)
+        report = verify_tensor_correspondence(t)
+        assert report.all_verified
+        assert (log["dense"], log["complete"]) == (report.ideal_count,) * 2
+        assert log["member_in_certificate"] == 0
+
+
+def count_lattice_tests(monkeypatch, module):
+    """Count the calls of `module`'s two certificates, and the lattice
+    containment and membership tests, inside a certificate or elsewhere."""
+    log = {"dense": 0, "complete": 0, "contains_lattice": 0,
+           "member_in_certificate": 0, "member_elsewhere": 0}
+    inside = []
+    contains, contains_lattice = Lattice.__contains__, Lattice.contains_lattice
+
+    def member(self, vec):
+        log["member_in_certificate" if inside else "member_elsewhere"] += 1
+        return contains(self, vec)
+
+    def containment(self, other):
+        log["contains_lattice"] += 1
+        return contains_lattice(self, other)
+
+    def counted(name, certificate):
+        def wrapper(sub):
+            log[name] += 1
+            inside.append(name)
+            try:
+                return certificate(sub)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(Lattice, "__contains__", member)
+    monkeypatch.setattr(Lattice, "contains_lattice", containment)
+    monkeypatch.setattr(module, "is_dense", counted("dense", is_dense))
+    monkeypatch.setattr(module, "is_complete", counted("complete", is_complete))
+    return log
+
+
+@st.composite
+def small_odd_k0s(draw):
+    """K0 of an odd-n presentation on 2-4 symbols, with up to two angles of
+    multiplicities up to 2, whose group is finite of order <= 32."""
+    rank = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([3, 5, 7]))
+    images = draw(st.permutations(range(rank)))
+    vertex = st.tuples(*[st.integers(0, 2)] * rank)
+    angles = draw(st.lists(st.tuples(*[vertex] * n).map(Angle), max_size=2))
+    k = k0(make(n, rank, images, tuple(angles)))
+    assume(k.group.is_finite and k.group.order() <= 32)
+    return k
+
+
+def assert_oracles_agree(entry):
+    """The bounded oracles confirm what the certificates derive from the
+    construction."""
+    p, lattice = entry.subcategory.presentation, entry.subcategory.lattice
+    assert entry.dense.holds and entry.complete.holds
+    assert member_containing_each_symbol(p, lattice, bound=4) is not None
+    assert rotation_violation(p, lattice) is None
+    assert summand_closure_holds(p, lattice, trials=3)
+
+
+class TestOraclesAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(small_odd_k0s())
+    def test_classify_entries(self, k):
+        for entry in verify_correspondence(k).entries:
+            assert_oracles_agree(entry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_ring_entries(self, seed):
+        for entry in verify_tensor_correspondence(random_valid_tensor(random.Random(seed))).entries:
+            assert_oracles_agree(entry)
 
 
 class TestSummandClosure:
     def test_full_lattice(self):
-        p = G1
-        sub = SubcategoryLattice(p, Lattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-        assert summand_closure_check(p, sub, trials=20).holds
+        assert summand_closure_holds(G1, Lattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), trials=20)
 
     def test_subgroup_lattices(self):
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            sub = subcategory_from_subgroup(k, h)
-            assert summand_closure_check(G1, sub, trials=30).holds
+            assert summand_closure_holds(G1, SubcategoryLattice(k, h).lattice, trials=30)
 
     def test_zero_trials(self):
-        k = k0(G1)
-        sub = subcategory_from_subgroup(k, enumerate_subgroups(k.group)[0])
-        cert = summand_closure_check(G1, sub, trials=0)
-        assert cert.holds
-        assert "0 trials" in cert.reason
+        # no trial, no failure, even off lattices
+        assert summand_closure_holds(G2, {(0,), (2,), (3,)}, trials=0)
+
+    def test_fails_off_lattices(self):
+        # 3 = 2 + 1 with 3 and 2 members but 1 not: the oracle can fail
+        assert not summand_closure_holds(G2, {(0,), (2,), (3,)}, trials=20)
 
 
 class TestVerifyCorrespondence:
@@ -235,7 +314,7 @@ class TestVerifyCorrespondence:
         # cross-checked against closure-generated subgroup elements
         k = k0(G1)
         for h in enumerate_subgroups(k.group):
-            sub = subcategory_from_subgroup(k, h)
+            sub = SubcategoryLattice(k, h)
             closure = {k.group.zero()}
             frontier = list(h.generators())
             while frontier:

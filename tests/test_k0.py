@@ -27,7 +27,6 @@ from angk0.presentations import (
     Suspension,
     add_objects,
     basis_object,
-    iter_object_vectors,
     object_vec,
     rotate_angle,
     suspend_object,
@@ -38,6 +37,7 @@ from angk0.presentations import (
 from support import (
     _witness_pool,
     count_cosets_exhaustive,
+    object_vectors_by_filter,
     random_object,
     random_presentation,
     witness_search_by_scan,
@@ -233,7 +233,7 @@ def two_term_sums(p, bound=2):
         for _ in range(p.n):
             pool.append(angle)
             angle = rotate_angle(p, angle)
-    for obj in iter_object_vectors(p.rank, bound):
+    for obj in object_vectors_by_filter(p.rank, bound):
         angle = trivial_angle(p, obj, 1)
         for _ in range(p.n):
             pool.append(angle)

@@ -17,8 +17,6 @@ from angk0.lattices import (
     hermite_normal_form,
     hom_from_generator_images,
     is_surjective,
-    lattice_membership,
-    quotient_group,
     reduced_solution,
     smith_normal_form,
     subgroup_from_generators,
@@ -153,44 +151,44 @@ class TestSmith:
 class TestMembership:
     def test_sum_of_basis_rows(self):
         lat = Lattice(2, [(2, 0), (0, 2)])
-        assert lattice_membership(lat, (2, 2))
+        assert (2, 2) in lat
 
     def test_odd_coordinate(self):
         lat = Lattice(2, [(2, 0), (0, 2)])
-        assert not lattice_membership(lat, (1, 0))
+        assert (1, 0) not in lat
 
     def test_back_substitution_vs_exhaustive(self):
         rows = [(1, -1, 1), (0, 2, 0), (0, 0, 2)]
         lat = Lattice(3, rows)
-        assert lattice_membership(lat, (1, 1, 1))
+        assert (1, 1, 1) in lat
         assert brute_force_membership([list(r) for r in rows], (1, 1, 1), 2)
         rng = random.Random(3)
         for _ in range(100):
             v = tuple(rng.randint(-3, 3) for _ in range(3))
-            assert lattice_membership(lat, v) == brute_force_membership(
+            assert (v in lat) == brute_force_membership(
                 [list(r) for r in rows], v, 4
             )
 
     def test_dimension_mismatch(self):
         lat = Lattice(2, [(2, 0)])
         with pytest.raises(ValueError):
-            lattice_membership(lat, (1, 0, 0))
+            (1, 0, 0) in lat
 
 
 class TestQuotient:
     def test_diagonal(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         assert g.invariant_factors == (2, 2)
         assert g.free_rank == 0
 
     def test_no_relations(self):
-        g = quotient_group(Lattice(2))
+        g = FgAbelianGroup(Lattice(2))
         assert g.invariant_factors == ()
         assert g.free_rank == 2
 
     def test_padded_snf_and_coset_count(self):
         rows = [(1, -1, 1), (0, 2, 0), (0, 0, 2)]
-        g = quotient_group(Lattice(3, rows))
+        g = FgAbelianGroup(Lattice(3, rows))
         assert g.invariant_factors == (2, 2)
         assert g.free_rank == 0
         assert g.order() == 4
@@ -205,7 +203,7 @@ class TestQuotient:
                 tuple(rng.randint(-4, 4) for _ in range(rank))
                 for _ in range(rng.randint(0, rank + 1))
             ]
-            g = quotient_group(Lattice(rank, rows))
+            g = FgAbelianGroup(Lattice(rank, rows))
             for _ in range(10):
                 v = tuple(rng.randint(-10, 10) for _ in range(rank))
                 rep = g.reduce(v)
@@ -226,7 +224,7 @@ class TestQuotient:
                 tuple(rng.randint(-3, 3) for _ in range(rank))
                 for _ in range(rng.randint(0, rank))
             ]
-            g = quotient_group(Lattice(rank, rows))
+            g = FgAbelianGroup(Lattice(rank, rows))
             for _ in range(20):
                 v = tuple(rng.randint(-6, 6) for _ in range(rank))
                 w = tuple(rng.randint(-6, 6) for _ in range(rank))
@@ -236,17 +234,17 @@ class TestQuotient:
 
 class TestSubgroups:
     def test_empty_generators(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         sub = subgroup_from_generators(g, [])
         assert sub.preimage == g.relations
 
     def test_full_generators(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         gens = [g.element((1, 0)), g.element((0, 1))]
         assert subgroup_from_generators(g, gens).preimage.is_full()
 
     def test_order_two_subgroup(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         sub = subgroup_from_generators(g, [g.element((1, 0))])
         assert sub.order() == 2
         # enumerate the subgroup's elements by closing under addition
@@ -264,7 +262,7 @@ class TestSubgroups:
         for _ in range(50):
             rank = rng.randint(1, 3)
             rows = [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(rank)]
-            g = quotient_group(Lattice(rank, rows))
+            g = FgAbelianGroup(Lattice(rank, rows))
             gens = [
                 g.element(tuple(rng.randint(-2, 2) for _ in range(rank)))
                 for _ in range(3)
@@ -274,15 +272,15 @@ class TestSubgroups:
             assert large.preimage.contains_lattice(small.preimage)
 
     def test_enumerate_trivial_group(self):
-        g = quotient_group(Lattice(1, [(1,)]))
+        g = FgAbelianGroup(Lattice(1, [(1,)]))
         assert len(enumerate_subgroups(g)) == 1
 
     def test_enumerate_z2(self):
-        g = quotient_group(Lattice(1, [(2,)]))
+        g = FgAbelianGroup(Lattice(1, [(2,)]))
         assert len(enumerate_subgroups(g)) == 2
 
     def test_enumerate_z2_squared(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         subs = enumerate_subgroups(g)
         assert len(subs) == 5
         assert subgroup_count_by_subsets(g) == 5
@@ -300,49 +298,49 @@ class TestSubgroups:
             Lattice(2, [(2, 1), (0, 6)]),
         ]
         for lat in cases:
-            g = quotient_group(lat)
+            g = FgAbelianGroup(lat)
             assert g.order() <= 16
             assert len(enumerate_subgroups(g)) == subgroup_count_by_subsets(g)
 
     def test_infinite_group_refused(self):
-        g = quotient_group(Lattice(2, [(2, 0)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0)]))
         with pytest.raises(InfiniteGroupError):
             enumerate_subgroups(g)
 
 
 class TestHoms:
     def test_identity(self):
-        g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
         h = hom_from_generator_images(g, g, IntMatrix.identity(2))
         assert h(g.element((1, 1))) == g.element((1, 1))
         assert is_surjective(h)
 
     def test_free_source(self):
-        z = quotient_group(Lattice(1))
-        z2 = quotient_group(Lattice(1, [(2,)]))
+        z = FgAbelianGroup(Lattice(1))
+        z2 = FgAbelianGroup(Lattice(1, [(2,)]))
         h = hom_from_generator_images(z, z2, IntMatrix([[1]]))
         assert h(z.element((3,))) == z2.element((1,))
 
     def test_not_well_defined_witness(self):
-        z2 = quotient_group(Lattice(1, [(2,)]))
-        z = quotient_group(Lattice(1))
+        z2 = FgAbelianGroup(Lattice(1, [(2,)]))
+        z = FgAbelianGroup(Lattice(1))
         with pytest.raises(NotWellDefinedError) as exc:
             hom_from_generator_images(z2, z, IntMatrix([[1]]))
         assert exc.value.witness == (2,)
 
     def test_zero_hom_not_surjective(self):
-        z2 = quotient_group(Lattice(1, [(2,)]))
+        z2 = FgAbelianGroup(Lattice(1, [(2,)]))
         h = hom_from_generator_images(z2, z2, IntMatrix([[0]]))
         assert not is_surjective(h)
 
     def test_onto_quotient_of_plane(self):
-        z = quotient_group(Lattice(1))
-        target = quotient_group(Lattice(2, [(1, 1)]))
+        z = FgAbelianGroup(Lattice(1))
+        target = FgAbelianGroup(Lattice(2, [(1, 1)]))
         h = hom_from_generator_images(z, target, IntMatrix([[1, 0]]))
         assert is_surjective(h)
 
     def test_shape_mismatch(self):
-        z = quotient_group(Lattice(1))
+        z = FgAbelianGroup(Lattice(1))
         with pytest.raises(ValueError):
             hom_from_generator_images(z, z, IntMatrix([[1, 0]]))
 
@@ -350,7 +348,7 @@ class TestHoms:
 def test_subgroup_requires_containment():
     from angk0.lattices import Subgroup
 
-    g = quotient_group(Lattice(2, [(2, 0), (0, 2)]))
+    g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
     with pytest.raises(ValueError):
         Subgroup(g, Lattice(2, [(3, 0)]))
 
@@ -449,7 +447,7 @@ def small_finite_groups(draw):
     rows = [[row[j] for j in perm] for row in rows]
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
     rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(r)])
-    return quotient_group(Lattice(r, rows))
+    return FgAbelianGroup(Lattice(r, rows))
 
 
 class TestEnumerationCanonical:

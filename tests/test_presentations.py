@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from angk0.presentations import (
     Angle,
@@ -9,7 +8,6 @@ from angk0.presentations import (
     Suspension,
     basis_object,
     direct_sum_angle,
-    iter_object_vectors,
     object_vec,
     rotate_angle,
     suspend_object,
@@ -17,7 +15,7 @@ from angk0.presentations import (
     validate_presentation,
     zero_object,
 )
-from support import object_vectors_by_filter, random_presentation
+from support import random_presentation
 
 
 def simple_presentation(n=3, rank=2, images=None, angles=()):
@@ -171,16 +169,3 @@ class TestTrivialAngle:
         p = simple_presentation()
         with pytest.raises(ValueError):
             trivial_angle(p, (1, 0), 4)
-
-
-class TestObjectVectors:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 5), st.integers(-1, 4), st.booleans())
-    def test_matches_product_and_filter(self, rank, max_total, include_zero):
-        assert list(iter_object_vectors(rank, max_total, include_zero)) == list(
-            object_vectors_by_filter(rank, max_total, include_zero)
-        )
-
-    def test_counts_follow_the_output(self):
-        # C(rank + total, rank) vectors, the zero vector included
-        assert len(list(iter_object_vectors(30, 2, include_zero=True))) == 496
