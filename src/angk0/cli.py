@@ -40,19 +40,16 @@ EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _thread_cap() -> int | None:
-    """Parse ANGK0_THREADS (0 = auto).  The cap bounds internal worker
-    threads; the sequential engine honors any cap."""
+def _threads_valid() -> bool:
+    """Is ANGK0_THREADS unset or a nonnegative integer (0 = auto)?  The
+    engine is sequential, so every valid cap gives the same reports."""
     raw = os.environ.get("ANGK0_THREADS")
     if raw is None:
-        return 0
+        return True
     try:
-        value = int(raw)
+        return int(raw) >= 0
     except ValueError:
-        return None
-    if value < 0:
-        return None
-    return value
+        return False
 
 
 class _Stop(Exception):
@@ -376,7 +373,7 @@ def cmd_witness(args):
         return digests, results, lines + ["no search performed (classes differ)"], EXIT_OK
     try:
         # equal classes always have a witness; only its size can refuse it
-        witness = witness_search(p, left, right, args.bound)
+        witness = witness_search(p, left, right)
     except WitnessBoundError as exc:
         raise refuse(f"WitnessBound: {exc}", digests)
     # a witness lists one term per copy: report each distinct term once
@@ -455,7 +452,7 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if _thread_cap() is None:
+    if not _threads_valid():
         print("error: ANGK0_THREADS must be a nonnegative integer", file=sys.stderr)
         return EXIT_VALIDATION
     try:

@@ -165,9 +165,7 @@ class Witness:
 @dataclass(frozen=True)
 class NotFound:
     """No witness exists: A - B is not in the relation lattice, so the
-    classes differ.  `bound` echoes the bound the caller passed."""
-
-    bound: int
+    classes differ."""
 
 
 # Most terms plus complement fields a witness may list; `witness_search`
@@ -175,8 +173,8 @@ class NotFound:
 WITNESS_LIMIT = 750_000
 
 
-def witness_search(p: Presentation, a, b, bound: int):
-    """A witness for [A] = [B], or NotFound(bound) when the classes differ.
+def witness_search(p: Presentation, a, b):
+    """A witness for [A] = [B], or NotFound() when the classes differ.
 
     One reduced solve c . R = A - B over the relation rows R (generator
     Euler vectors, then suspension rows) gives the terms, as in Thomason
@@ -185,8 +183,7 @@ def witness_search(p: Presentation, a, b, bound: int):
     j) go left when positive, else right.  Trivial angles on vertices K-1
     and K even out vertices n..2, leaving the first vertices A - B apart;
     one on max(0, A - L_1) on both sides makes C_1 = L_1 - A nonnegative.
-    Equal objects take c = 0: the shared trivial angle on A.  `bound` is
-    validated and echoed in NotFound; it limits nothing.  Raises
+    Equal objects take c = 0: the shared trivial angle on A.  Raises
     WitnessBoundError, before building, when the witness would list more
     than WITNESS_LIMIT terms and complement fields.
     """
@@ -194,8 +191,6 @@ def witness_search(p: Presentation, a, b, bound: int):
     b = object_vec(b)
     if len(a) != p.rank or len(b) != p.rank:
         raise ValueError("objects have wrong length")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     fields = p.n * p.rank
     if a == b:
         if fields > WITNESS_LIMIT:
@@ -207,7 +202,7 @@ def witness_search(p: Presentation, a, b, bound: int):
     rows = [euler_vector(p, g) for g in p.angles] + suspension_rows(p)
     c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
     if c is None:
-        return NotFound(bound)
+        return NotFound()
     # at most one evening-out term per side and vertex, and one C_1 term
     terms = sum(map(abs, c)) + 2 * p.n
     if terms + fields > WITNESS_LIMIT:

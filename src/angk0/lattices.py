@@ -442,7 +442,7 @@ class Lattice:
     bases, which the enumeration's set of found lattices relies on.
     """
 
-    __slots__ = ("ambient_rank", "basis", "_pivot_of_col")
+    __slots__ = ("ambient_rank", "basis", "_pivots")
 
     def __init__(self, ambient_rank: int, rows=(), *, _plain=False):
         a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
@@ -453,31 +453,34 @@ class Lattice:
             _hermite_rows(a, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
-        self._pivot_of_col = {
-            next(j for j, x in enumerate(row) if x): idx for idx, row in enumerate(self.basis)
-        }
+        # (pivot column, row) pairs in increasing column order; later rows
+        # never touch earlier pivot columns, so greedy reduction lands in a
+        # fundamental domain (Cohen, GTM 138, 2.4.3).
+        self._pivots = tuple((_pivot(row), row) for row in self.basis)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, vec) -> bool:
+    def reduce(self, vec) -> tuple[int, ...]:
+        """Canonical coset representative of a vector in Z^r.
+
+        Every pivot entry of the result lies in [0, pivot), and two vectors
+        reduce alike exactly when their difference lies in the lattice.
+        """
         v = [int(x) for x in vec]
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        for j in range(self.ambient_rank):
-            if v[j] == 0:
-                continue
-            idx = self._pivot_of_col.get(j)
-            if idx is None:
-                return False
-            row = self.basis[idx]
-            if v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for k in range(j, self.ambient_rank):
-                v[k] -= q * row[k]
-        return True
+        for col, row in self._pivots:
+            if v[col]:
+                q = v[col] // row[col]
+                if q:
+                    for k in range(col, self.ambient_rank):
+                        v[k] -= q * row[k]
+        return tuple(v)
+
+    def __contains__(self, vec) -> bool:
+        return not any(self.reduce(vec))
 
     def contains_lattice(self, other: "Lattice") -> bool:
         if other.ambient_rank != self.ambient_rank:
@@ -522,12 +525,11 @@ class Lattice:
 class FgAbelianGroup:
     """Z^r modulo an integer row lattice.
 
-    Carries the invariant factors, the free rank, and a canonical coset
-    representative map: two vectors reduce to the same representative
-    exactly when their difference lies in the relation lattice.
+    Carries the invariant factors and the free rank; elements are held by
+    the canonical coset representatives of `relations.reduce`.
     """
 
-    __slots__ = ("ambient_rank", "relations", "invariant_factors", "free_rank", "_pivots")
+    __slots__ = ("ambient_rank", "relations", "invariant_factors", "free_rank")
 
     def __init__(self, relations: Lattice):
         self.relations = relations
@@ -544,12 +546,6 @@ class FgAbelianGroup:
                                    det=order or 0)
             self.invariant_factors = tuple(x for x in diag if x > 1)
         self.free_rank = self.ambient_rank - relations.rank
-        # (pivot column, row) pairs in increasing column order; later rows
-        # never touch earlier pivot columns, so greedy reduction lands in a
-        # fundamental domain.
-        self._pivots = tuple(
-            (col, relations.basis[idx]) for col, idx in relations._pivot_of_col.items()
-        )
 
     @property
     def is_finite(self) -> bool:
@@ -560,20 +556,8 @@ class FgAbelianGroup:
             return None
         return math.prod(self.invariant_factors)
 
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Canonical coset representative of a vector in Z^r."""
-        v = [int(x) for x in vec]
-        if len(v) != self.ambient_rank:
-            raise ValueError("vector length does not match ambient rank")
-        for col, row in self._pivots:
-            q = v[col] // row[col]
-            if q:
-                for k in range(col, self.ambient_rank):
-                    v[k] -= q * row[k]
-        return tuple(v)
-
     def element(self, vec) -> "GroupElement":
-        return GroupElement(self, self.reduce(vec))
+        return GroupElement(self, self.relations.reduce(vec))
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ambient_rank)

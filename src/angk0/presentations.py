@@ -119,16 +119,6 @@ class Presentation:
     def rank(self) -> int:
         return len(self.indec_names)
 
-    def name_index(self, name: str) -> int:
-        return self.indec_names.index(name)
-
-    def object(self, multiplicities: dict[str, int]) -> ObjectVec:
-        """Build an object from a {symbol: multiplicity} mapping."""
-        out = [0] * self.rank
-        for name, mult in multiplicities.items():
-            out[self.name_index(name)] = int(mult)
-        return object_vec(out)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -1,13 +1,14 @@
 """Shared oracles and instance generators for the test suite.
 
 The oracles here deliberately avoid the library's reduction paths:
-invariant factors come from gcds of k x k minors, memberships from
-exhaustive small-coefficient searches, subgroup counts from subsets
-closed under addition, ring ideals from filtering every subgroup for
-tensor closure, prime flags from every pair of elements, witnesses
-from a scan that sums every multiset of pool angles vertex by vertex, and
-density, completeness and summand closure of a subcategory lattice from
-bounded searches over small objects and listed angles.
+invariant factors and memberships come from gcds of k x k minors,
+bounded memberships also from exhaustive small-coefficient searches,
+subgroup counts from subsets closed under addition, ring ideals from
+filtering every subgroup for tensor closure, prime flags from every pair
+of elements, witnesses from a scan that sums every multiset of pool
+angles vertex by vertex, and density, completeness and summand closure
+of a subcategory lattice from bounded searches over small objects and
+listed angles.
 """
 
 from __future__ import annotations
@@ -73,6 +74,26 @@ def invariant_factors_by_minors(entries):
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def _rank_and_top_minors_gcd(rows):
+    # (k, gcd of the k x k minors) for the rank k of rows
+    k, g = 0, 1
+    while k < min(len(rows), len(rows[0]) if rows else 0):
+        h = minors_gcd(rows, k + 1)
+        if not h:
+            break
+        k, g = k + 1, h
+    return k, g
+
+
+def in_row_span_by_minors(rows, vec):
+    """Is vec an integer combination of rows?  The span L' of rows and vec
+    contains the span L of rows; when both have rank k, [L' : L] is the
+    ratio of the gcds of their k x k minors.  So vec lies in L exactly when
+    adding it changes neither the rank nor that gcd."""
+    rows = [list(row) for row in rows]
+    return _rank_and_top_minors_gcd(rows) == _rank_and_top_minors_gcd(rows + [list(vec)])
 
 
 def brute_force_membership(rows, vec, coeff_bound):
@@ -217,7 +238,7 @@ def witness_search_by_scan(p: Presentation, a, b, bound: int):
         left_terms = tuple(pool[i][0] for i in combo)
         right_terms = tuple(pool[i][0] for i in match)
         return Witness(complements=(c1,) + tail, left_terms=left_terms, right_terms=right_terms)
-    return NotFound(bound)
+    return NotFound()
 
 
 def object_vectors_by_filter(rank: int, max_total: int, include_zero: bool = False):

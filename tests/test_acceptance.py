@@ -229,7 +229,7 @@ def test_criterion_6_witness_soundness_and_desk_completeness():
         tail, heads = buckets[rng.randrange(len(buckets))]
         a, b = rng.sample(heads, 2)
         assert equal_classes(k.relation_lattice, a, b)
-        outcome = witness_search(p, a, b, 2)
+        outcome = witness_search(p, a, b)
         assert isinstance(outcome, Witness)
         found += 1
 
@@ -241,7 +241,7 @@ def test_criterion_6_witness_soundness_and_desk_completeness():
         b = random_object(rng, p.rank, max_mult=2)
         if equal_classes(k.relation_lattice, a, b):
             continue
-        outcome = witness_search(p, a, b, 2)
+        outcome = witness_search(p, a, b)
         assert isinstance(outcome, NotFound)
         unequal += 1
     elapsed = time.monotonic() - start

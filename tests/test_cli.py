@@ -385,7 +385,7 @@ class TestWitness:
              "--right", literal(names, right), "--bound", "3"], capsys)
         assert time.perf_counter() - start < 1.0
         assert (code, report["results"]["equal"]) == (0, True)
-        w = witness_search(p, left, right, 3)
+        w = witness_search(p, left, right)
         assert len(report["results"]["witness"]["left_terms"]) == len(w.left_terms)
         sums = [sum_of_terms(p, terms).vertices for terms in (w.left_terms, w.right_terms)]
         c1 = w.complements[0]

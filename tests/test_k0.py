@@ -250,26 +250,19 @@ def two_term_sums(p, bound=2):
 
 class TestWitnessSearch:
     def test_self_witness(self):
-        w = witness_search(G2, (2,), (2,), 0)
+        w = witness_search(G2, (2,), (2,))
         assert isinstance(w, Witness)
         check_witness(G2, (2,), (2,), w)
 
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            witness_search(G2, (1,), (2,), -1)
-
     def test_found_in_z2(self):
-        w = witness_search(G2, (1,), (3,), 2)
+        w = witness_search(G2, (1,), (3,))
         assert isinstance(w, Witness)
         check_witness(G2, (1,), (3,), w)
         assert equal_classes(G2_K0.relation_lattice, (1,), (3,))
 
     def test_not_found_when_classes_differ(self):
         p = make(4, 1)
-        for bound in range(4):
-            outcome = witness_search(p, (1,), (2,), bound)
-            assert isinstance(outcome, NotFound)
-            assert outcome.bound == bound
+        assert witness_search(p, (1,), (2,)) == NotFound()
 
     def test_soundness_random(self):
         rng = random.Random(61)
@@ -278,7 +271,7 @@ class TestWitnessSearch:
             k = k0(p)
             a = random_object(rng, p.rank, max_mult=2)
             b = random_object(rng, p.rank, max_mult=2)
-            outcome = witness_search(p, a, b, 1)
+            outcome = witness_search(p, a, b)
             if isinstance(outcome, Witness):
                 assert equal_classes(k.relation_lattice, a, b)
                 check_witness(p, a, b, outcome)
@@ -299,7 +292,7 @@ class TestWitnessSearch:
             tail, heads = buckets[rng.randrange(len(buckets))]
             a, b = rng.sample(heads, 2)
             assert equal_classes(k.relation_lattice, a, b)
-            outcome = witness_search(p, a, b, 2)
+            outcome = witness_search(p, a, b)
             assert isinstance(outcome, Witness)
             check_witness(p, a, b, outcome)
             built += 1
@@ -308,12 +301,12 @@ class TestWitnessSearch:
 @st.composite
 def witness_inputs(draw):
     """A valid presentation (n = 3..6, r <= 5, any suspension, 0-2 angles),
-    a bound in 0..3, a pair of objects and, when the pair was made from one,
-    the planted combination c of relation rows with c . R = A - B (else
-    None).  Pairs: equal objects, an object and the zero object, two
-    independent objects (so unequal classes come up), a pair with equal
-    classes by suspension rows, or a planted small combination of all the
-    relation rows, shifted to nonnegative objects."""
+    a pair of objects and, when the pair was made from one, the planted
+    combination c of relation rows with c . R = A - B (else None).  Pairs:
+    equal objects, an object and the zero object, two independent objects
+    (so unequal classes come up), a pair with equal classes by suspension
+    rows, or a planted small combination of all the relation rows, shifted
+    to nonnegative objects."""
     n = draw(st.integers(3, 6))
     rank = draw(st.integers(1, 5))
     images = draw(st.permutations(range(rank)))
@@ -354,7 +347,7 @@ def witness_inputs(draw):
     if draw(st.booleans()):
         a, b = b, a
         planted = planted and tuple(-x for x in planted)
-    return p, a, b, draw(st.integers(0, 3)), planted
+    return p, a, b, planted
 
 
 def copies(p, w):
@@ -375,21 +368,21 @@ class TestWitnessOracle:
     @settings(max_examples=200, deadline=None)
     @given(witness_inputs())
     def test_witness_exactly_on_equal_classes(self, case):
-        p, a, b, bound, _ = case
+        p, a, b, _ = case
         assert validate_presentation(p).valid
         equal = equal_classes(relation_lattice(p), a, b)
-        outcome = witness_search(p, a, b, bound)
+        outcome = witness_search(p, a, b)
         event(("a == b" if a == b else "equal classes" if equal else "unequal classes"))
         if equal:
             assert isinstance(outcome, Witness)
             check_witness(p, a, b, outcome)
         else:
-            assert outcome == NotFound(bound)
+            assert outcome == NotFound()
 
     @settings(max_examples=100, deadline=None)
     @given(witness_inputs())
     def test_finds_whatever_the_scan_finds(self, case):
-        p, a, b, _, _ = case
+        p, a, b, _ = case
         assume(a != b)
         # the scan sums tuples vertex by vertex over C(P + k, k) multisets of
         # the P pool angles at bound k: run the largest k <= 3 that stays fast
@@ -397,43 +390,39 @@ class TestWitnessOracle:
         found = isinstance(witness_search_by_scan(p, a, b, bound), Witness)
         event(f"bound {bound}, scan finds {'a witness' if found else 'none'}")
         if found:
-            outcome = witness_search(p, a, b, bound)
+            outcome = witness_search(p, a, b)
             assert isinstance(outcome, Witness)
             check_witness(p, a, b, outcome)
 
     @settings(max_examples=100, deadline=None)
     @given(witness_inputs())
     def test_same_input_same_witness(self, case):
-        p, a, b, bound, _ = case
-        outcome = witness_search(p, a, b, bound)
-        assert witness_search(p, a, b, bound) == outcome
-        if isinstance(outcome, Witness):
-            # the bound no longer changes the result
-            assert witness_search(p, a, b, 0) == outcome
+        p, a, b, _ = case
+        assert witness_search(p, a, b) == witness_search(p, a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(witness_inputs())
     def test_multipliers_near_the_planted_combination(self, case):
-        p, a, b, _, planted = case
+        p, a, b, planted = case
         assume(planted is not None and a != b)
         rows = [euler_vector(p, x) for x in p.angles] + suspension_rows(p)
         c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
         kernel = len(rows) - Lattice(p.rank, rows).rank
         event(f"kernel dimension {kernel}")
         assert sum(x * x for x in c) <= 2**kernel * sum(x * x for x in planted)
-        assert copies(p, witness_search(p, a, b, 0)) == c
+        assert copies(p, witness_search(p, a, b)) == c
 
     def test_negative_angle_multiplicity_rejected(self):
         p = make(3, 1, angles=(Angle(((1,), (-1,), (0,))),))
         with pytest.raises(ValueError):
-            witness_search(p, (1,), (2,), 1)
+            witness_search(p, (1,), (2,))
 
     def test_oversized_witness_raises_before_it_is_built(self):
         # [x] = [x^1500001] in Z/2 needs 750,000 copies of the suspension row
         with pytest.raises(WitnessBoundError, match="750006 terms"):
-            witness_search(G2, (1,), (1_500_001,), 0)
-        w = witness_search(G2, (1,), (2001,), 0)
+            witness_search(G2, (1,), (1_500_001,))
+        w = witness_search(G2, (1,), (2001,))
         assert copies(G2, w) == (-1000,)
         check_witness(G2, (1,), (2001,), w)
         with pytest.raises(WitnessBoundError, match="self-witness"):
-            witness_search(make(WITNESS_LIMIT + 1, 1), (1,), (1,), 0)
+            witness_search(make(WITNESS_LIMIT + 1, 1), (1,), (1,))

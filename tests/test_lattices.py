@@ -26,6 +26,7 @@ from angk0.lattices import _minor_gcd
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
+    in_row_span_by_minors,
     invariant_factors_by_minors,
     subgroup_count_by_subsets,
 )
@@ -148,6 +149,41 @@ class TestSmith:
             assert [x for x in diag if x] == invariant_factors_by_minors(entries)
 
 
+@st.composite
+def lattices_with_vectors(draw):
+    """(lattice, rows, v, w) in Z^r, r <= 4.  The rows are a triangular
+    basis with its columns permuted plus one dependent row.  Full-rank
+    lattices have index 8..64; rank-deficient ones keep a proper subset of
+    the pivot columns.  v is a member, or a member plus a small offset, and
+    so is w - v, so both outcomes of a membership test come up."""
+    r = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pivots = list(range(r))
+    else:
+        pivots = sorted(draw(st.sets(st.integers(0, r - 1), max_size=r - 1)))
+    index, rows = draw(st.integers(8, 64)), []
+    for i, col in enumerate(pivots):
+        d = index if i == len(pivots) - 1 else draw(
+            st.sampled_from([d for d in range(1, index + 1) if index % d == 0]))
+        index //= d
+        tail = draw(st.lists(st.integers(-5, 5), min_size=r - col - 1, max_size=r - col - 1))
+        rows.append([0] * col + [d] + tail)
+    perm = draw(st.permutations(range(r)))
+    rows = [[row[j] for j in perm] for row in rows]
+    if rows:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        rows.append(combination(coeffs, rows, r))
+
+    def near_member():
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        offset = draw(st.just([0] * r) | st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        return [x + y for x, y in zip(combination(coeffs, rows, r), offset)]
+
+    v = near_member()
+    w = [x + y for x, y in zip(v, near_member())]
+    return Lattice(r, rows), rows, v, w
+
+
 class TestMembership:
     def test_sum_of_basis_rows(self):
         lat = Lattice(2, [(2, 0), (0, 2)])
@@ -171,8 +207,15 @@ class TestMembership:
 
     def test_dimension_mismatch(self):
         lat = Lattice(2, [(2, 0)])
-        with pytest.raises(ValueError):
-            (1, 0, 0) in lat
+        for call in (lat.__contains__, lat.reduce):
+            with pytest.raises(ValueError, match="^vector length does not match ambient rank$"):
+                call((1, 0, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_with_vectors())
+    def test_matches_minors_oracle(self, case):
+        lattice, rows, v, _ = case
+        assert (v in lattice) == in_row_span_by_minors(rows, v)
 
 
 class TestQuotient:
@@ -206,30 +249,33 @@ class TestQuotient:
             g = FgAbelianGroup(Lattice(rank, rows))
             for _ in range(10):
                 v = tuple(rng.randint(-10, 10) for _ in range(rank))
-                rep = g.reduce(v)
-                assert g.reduce(rep) == rep
+                rep = g.relations.reduce(v)
+                assert g.relations.reduce(rep) == rep
                 if g.relations.basis:
                     coeffs = [rng.randint(-3, 3) for _ in g.relations.basis]
                     shift = list(v)
                     for c, row in zip(coeffs, g.relations.basis):
                         for i, x in enumerate(row):
                             shift[i] += c * x
-                    assert g.reduce(shift) == rep
+                    assert g.relations.reduce(shift) == rep
 
-    def test_equal_reps_iff_difference_in_lattice(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            rank = rng.randint(1, 3)
-            rows = [
-                tuple(rng.randint(-3, 3) for _ in range(rank))
-                for _ in range(rng.randint(0, rank))
-            ]
-            g = FgAbelianGroup(Lattice(rank, rows))
-            for _ in range(20):
-                v = tuple(rng.randint(-6, 6) for _ in range(rank))
-                w = tuple(rng.randint(-6, 6) for _ in range(rank))
-                diff = tuple(a - b for a, b in zip(v, w))
-                assert (g.reduce(v) == g.reduce(w)) == (diff in g.relations)
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_with_vectors())
+    def test_equal_reps_iff_difference_in_lattice(self, case):
+        lattice, rows, v, w = case
+        diff = [a - b for a, b in zip(v, w)]
+        assert (lattice.reduce(v) == lattice.reduce(w)) == in_row_span_by_minors(rows, diff)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_with_vectors())
+    def test_reps_lie_in_the_fundamental_domain(self, case):
+        lattice, rows, v, _ = case
+        rep = lattice.reduce(v)
+        assert lattice.reduce(rep) == rep
+        assert in_row_span_by_minors(rows, [a - b for a, b in zip(rep, v)])
+        for row in lattice.basis:
+            col = next(j for j, x in enumerate(row) if x)
+            assert 0 <= rep[col] < row[col]
 
 
 class TestSubgroups:
@@ -469,7 +515,7 @@ class TestEnumerationCanonical:
     def test_coset_reps_are_canonical_and_complete(self, group):
         reps = list(group.relations.coset_reps())
         assert len(reps) == len(set(reps)) == group.order()
-        assert all(group.reduce(v) == v for v in reps)
+        assert all(group.relations.reduce(v) == v for v in reps)
 
 
 def assert_smith_form(cols, rows):
