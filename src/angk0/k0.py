@@ -57,11 +57,14 @@ def suspension_rows(p: Presentation) -> list[tuple[int, ...]]:
     return rows
 
 
+def relation_rows(p: Presentation) -> list[tuple[int, ...]]:
+    """The Euler vectors of the listed angles, then the suspension rows."""
+    return [euler_vector(p, a) for a in p.angles] + suspension_rows(p)
+
+
 def relation_lattice(p: Presentation) -> Lattice:
     """Integer span of all listed Euler vectors and the suspension rows."""
-    rows = [euler_vector(p, a) for a in p.angles]
-    rows.extend(suspension_rows(p))
-    return Lattice(p.rank, rows)
+    return Lattice(p.rank, relation_rows(p))
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ WITNESS_LIMIT = 750_000
 def witness_search(p: Presentation, a, b):
     """A witness for [A] = [B], or NotFound() when the classes differ.
 
-    One reduced solve c . R = A - B over the relation rows R (generator
+    One reduced solve c . R = A - B over R = relation_rows(p) (generator
     Euler vectors, then suspension rows) gives the terms, as in Thomason
     (Compositio Math. 105, 1997): c_g copies of generator g and |c_j| copies
     of the trivial angle on e_j rotated once (Euler vector: suspension row
@@ -199,8 +202,7 @@ def witness_search(p: Presentation, a, b):
         return _built_witness(p, a, (0,) * (len(p.angles) + p.rank))
     if any(x < 0 for angle in p.angles for v in angle.vertices for x in v):
         raise ValueError("angle multiplicities must be nonnegative")
-    rows = [euler_vector(p, g) for g in p.angles] + suspension_rows(p)
-    c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
+    c = reduced_solution(relation_rows(p), [x - y for x, y in zip(a, b)])
     if c is None:
         return NotFound()
     # at most one evening-out term per side and vertex, and one C_1 term

@@ -291,31 +291,19 @@ def _hermite_mod(rows, cols, d):
     # left below it, L' = {v in L : v_0 = ... = v_j = 0}, has index dividing
     # d / g, so the pass goes on mod d / g and needs no extra row.  Work rows
     # are full length but only read right of the current column; an entry
-    # that is 0 mod d counts as 0.
+    # that is 0 mod d counts as 0.  A unit pivot, when there is one, is
+    # scaled to 1 and goes first, so one subtraction clears each other row.
     basis, mod = [], d
     work = [[x % d for x in row] for row in rows]
     for j in range(cols):
-        if d == 1:
-            basis += ([0] * k + [1] + [0] * (cols - k - 1) for k in range(j, cols))
-            break
         live = [row for row in work if row[j] % d]
-        for unit in live:
-            if math.gcd(unit[j], d) == 1:
-                break
-        else:
-            unit = None
-        if unit is not None:
-            # one subtraction clears every other row
-            work = [row for row in work if row is not unit]
-            x = unit[j] % d
-            head = unit[j + 1 :] if x == 1 else [pow(x, -1, d) * y % d for y in unit[j + 1 :]]
-            for row in live:
-                if row is not unit:
-                    x = row[j]
-                    row[j + 1 :] = [(y - x * z) % d for y, z in zip(row[j + 1 :], head)]
-            basis.append([0] * j + [1] + head)
-            continue
         if live:
+            for i, row in enumerate(live):
+                if math.gcd(row[j], d) == 1:
+                    x = pow(row[j], -1, d)
+                    row[j:] = [1] + [x * y % d for y in row[j + 1 :]]
+                    live.insert(0, live.pop(i))
+                    break
             piv = live[0]
             work = [row for row in work if row is not piv]
             for row in live[1:]:
@@ -331,8 +319,9 @@ def _hermite_mod(rows, cols, d):
                     [(q * t - p * s) % d for s, t in zip(piv[j + 1 :], row[j + 1 :])],
                 )
                 piv[j] = g
-            x, _, g = xgcd(piv[j], d)
+            g = math.gcd(piv[j], d)
             d //= g
+            x = pow(piv[j] // g, -1, d)  # x * piv[j] = g mod the old d
             head = [x * v % d for v in piv[j + 1 :]]
         else:
             g, d, head = d, 1, [0] * (cols - j - 1)
@@ -442,10 +431,15 @@ class Lattice:
     bases, which the enumeration's set of found lattices relies on.
     """
 
-    __slots__ = ("ambient_rank", "basis", "_pivots")
+    __slots__ = ("ambient_rank", "basis")
 
     def __init__(self, ambient_rank: int, rows=(), *, _plain=False):
-        a = [list(row) for row in IntMatrix(rows, cols=ambient_rank).entries]
+        # _plain marks int tuples of length ambient_rank, a Hermite basis plus
+        # a few rows (`join`): they skip validation, and the plain elimination
+        # finishes them faster than Bareiss alone would run.
+        if not _plain:
+            rows = IntMatrix(rows, cols=ambient_rank).entries
+        a = [list(row) for row in rows]
         d = 0 if _plain else _minor_gcd(a, ambient_rank)
         if d:
             a = _hermite_mod(a, ambient_rank, d)
@@ -453,10 +447,6 @@ class Lattice:
             _hermite_rows(a, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
-        # (pivot column, row) pairs in increasing column order; later rows
-        # never touch earlier pivot columns, so greedy reduction lands in a
-        # fundamental domain (Cohen, GTM 138, 2.4.3).
-        self._pivots = tuple((_pivot(row), row) for row in self.basis)
 
     @property
     def rank(self) -> int:
@@ -471,7 +461,13 @@ class Lattice:
         v = [int(x) for x in vec]
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        for col, row in self._pivots:
+        # Pivot columns strictly increase down the basis, so one forward scan
+        # finds them, and later rows never touch earlier pivot columns, so
+        # greedy reduction lands in a fundamental domain (Cohen, GTM 138, 2.4.3).
+        col = 0
+        for row in self.basis:
+            while not row[col]:
+                col += 1
             if v[col]:
                 q = v[col] // row[col]
                 if q:
@@ -489,10 +485,8 @@ class Lattice:
 
     def join(self, rows) -> "Lattice":
         """Smallest lattice containing self and the given rows."""
-        # The plain elimination meets a Hermite basis plus a few rows, which
-        # it finishes faster than Bareiss alone would run.
-        return Lattice(self.ambient_rank, self.basis + tuple(tuple(r) for r in rows),
-                       _plain=True)
+        rows = IntMatrix(rows, cols=self.ambient_rank).entries
+        return Lattice(self.ambient_rank, self.basis + rows, _plain=True)
 
     def is_full(self) -> bool:
         # A Hermite basis of full rank with unit pivots is the identity.

@@ -11,7 +11,7 @@ import pytest
 
 from angk0 import files
 from angk0.cli import main
-from angk0.k0 import euler_vector, sum_of_terms, suspension_rows, witness_search
+from angk0.k0 import relation_rows, sum_of_terms, witness_search
 from angk0.lattices import FgAbelianGroup
 
 G1 = {
@@ -374,7 +374,7 @@ class TestWitness:
         }
         loaded = files.load_path(write(tmp_path, "p.json", doc))
         p = loaded.presentation
-        rows = [euler_vector(p, g) for g in p.angles] + suspension_rows(p)
+        rows = relation_rows(p)
         c = [rng.randint(-2, 2) for _ in rows]
         diff = [sum(x * row[j] for x, row in zip(c, rows)) for j in range(rank)]
         right = [max(0, -x) for x in diff]

@@ -16,6 +16,7 @@ from angk0.k0 import (
     k0,
     object_for_element,
     relation_lattice,
+    relation_rows,
     sum_of_terms,
     suspension_rows,
     witness_search,
@@ -94,6 +95,16 @@ class TestRelationLattice:
         lat = relation_lattice(G1)
         expected = Lattice(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, -1, 1)])
         assert lat == expected
+
+    def test_relation_rows_order(self):
+        # witness coefficients index into this order: angles, then symbols
+        assert relation_rows(G1) == [(1, -1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        rng = random.Random(53)
+        for _ in range(30):
+            p = random_presentation(rng)
+            rows = relation_rows(p)
+            assert rows == [euler_vector(p, a) for a in p.angles] + suspension_rows(p)
+            assert relation_lattice(p) == Lattice(p.rank, rows)
 
     def test_rotation_closure(self):
         rng = random.Random(47)
@@ -330,7 +341,7 @@ def witness_inputs(draw):
         b = draw(obj)
     elif kind == "planted":
         planted = draw(st.tuples(*[st.integers(-3, 3)] * (g + rank)))
-        rows = [euler_vector(p, x) for x in p.angles] + suspension_rows(p)
+        rows = relation_rows(p)
         diff = [sum(c * row[j] for c, row in zip(planted, rows)) for j in range(rank)]
         b = tuple(max(0, -x) for x in diff)
         a = tuple(x + y for x, y in zip(b, diff))
@@ -405,7 +416,7 @@ class TestWitnessOracle:
     def test_multipliers_near_the_planted_combination(self, case):
         p, a, b, planted = case
         assume(planted is not None and a != b)
-        rows = [euler_vector(p, x) for x in p.angles] + suspension_rows(p)
+        rows = relation_rows(p)
         c = reduced_solution(rows, [x - y for x, y in zip(a, b)])
         kernel = len(rows) - Lattice(p.rank, rows).rank
         event(f"kernel dimension {kernel}")

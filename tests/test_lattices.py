@@ -22,7 +22,7 @@ from angk0.lattices import (
     subgroup_from_generators,
     xgcd,
 )
-from angk0.lattices import _minor_gcd
+from angk0.lattices import _hermite_mod, _minor_gcd
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
@@ -217,6 +217,16 @@ class TestMembership:
         lattice, rows, v, _ = case
         assert (v in lattice) == in_row_span_by_minors(rows, v)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_join_wrong_length_row(self, r):
+        # only the added rows are checked, so the message is the same at
+        # every rank of the lattice joined onto
+        for rank in range(r + 1):
+            lattice = Lattice(r, [[2 * int(i == j) for j in range(r)] for i in range(rank)])
+            for width in (r - 1, r + 1):
+                with pytest.raises(ValueError, match=f"^expected {r} columns, found {width}$"):
+                    lattice.join([[1] * width])
+
 
 class TestQuotient:
     def test_diagonal(self):
@@ -265,6 +275,26 @@ class TestQuotient:
         lattice, rows, v, w = case
         diff = [a - b for a, b in zip(v, w)]
         assert (lattice.reduce(v) == lattice.reduce(w)) == in_row_span_by_minors(rows, diff)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 2, 1, 0], [0, 0, 0, 3]],
+        [[3, 1, 0, 2, 5], [0, 0, 0, 4, 1]],
+        [[0, 0, 5]],
+        [[1, 0, 0, 7], [0, 0, 6, 2], [0, 0, 0, 0]],
+    ])
+    def test_reduce_when_pivot_columns_skip(self, rows):
+        lattice = Lattice(len(rows[0]), rows)
+        assert lattice.rank < lattice.ambient_rank
+        rng = random.Random(7)
+        for _ in range(60):
+            v = [rng.randint(-12, 12) for _ in range(lattice.ambient_rank)]
+            rep = lattice.reduce(v)
+            assert lattice.reduce(rep) == rep
+            assert in_row_span_by_minors(rows, [a - b for a, b in zip(rep, v)])
+            assert (v in lattice) == in_row_span_by_minors(rows, v)
+            for row in lattice.basis:
+                col = next(j for j, x in enumerate(row) if x)
+                assert 0 <= rep[col] < row[col]
 
     @settings(max_examples=150, deadline=None)
     @given(lattices_with_vectors())
@@ -628,6 +658,27 @@ def triangular_basis(r, seed):
             for i in range(r)]
 
 
+@st.composite
+def mixed_hermite_bases(draw, max_dim=8):
+    """(cols, rows): an upper-triangular basis with entries up to 2^40 and
+    pivots from 1, 2, 3, 4, 6, mixed by elementary row operations and
+    shuffled.  Mod a multiple of the index, a pivot-1 column often holds a
+    unit and a larger pivot never does, so both kinds of column come up."""
+    cols = draw(st.integers(1, max_dim))
+    bound = draw(st.sampled_from([3, 2**40]))
+    rows = []
+    for i in range(cols):
+        tail = draw(st.lists(st.integers(-bound, bound), min_size=cols - i - 1,
+                             max_size=cols - i - 1))
+        rows.append([0] * i + [draw(st.sampled_from([1, 2, 3, 4, 6]))] + tail)
+    for _ in range(draw(st.integers(0, 2 * cols))):
+        i, j = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        c = draw(st.integers(-3, 3))
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return cols, draw(st.permutations(rows))
+
+
 class TestModularHermite:
     """A full-rank Lattice is built mod a multiple of its index, and a finite
     group's Smith form mod its order; both must match the plain elimination
@@ -653,6 +704,16 @@ class TestModularHermite:
         expected = sympy_factors([[x if i == j else 0 for j in range(cols)]
                                   for i, x in enumerate(diag)])
         assert FgAbelianGroup(lattice).invariant_factors == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_hermite_bases(), full_rank_matrices(max_dim=8)),
+           st.sampled_from([1, 2, 3, 7, 4, 12, 30]) | st.integers(2**39, 2**40))
+    def test_hermite_mod_matches_plain(self, case, k):
+        # any multiple of the index serves as the modulus
+        cols, rows = case
+        h = nonzero_rows(hermite_normal_form(IntMatrix(rows, cols=cols))[0])
+        index = math.prod(row[i] for i, row in enumerate(h))
+        assert _hermite_mod(rows, cols, k * index) == h
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(relation_matrices(), full_rank_matrices(max_dim=6)))
