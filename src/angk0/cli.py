@@ -143,19 +143,20 @@ def cmd_k0(args):
     p = loaded.presentation
     result = k0(p)
     group = result.group
+    factors = list(group.invariant_factors)
     classes = {
         name: list(result.class_of([int(i == j) for j in range(p.rank)]).vec)
         for i, name in enumerate(p.indec_names)
     }
     results = {
-        "invariant_factors": list(group.invariant_factors),
+        "invariant_factors": factors,
         "free_rank": group.free_rank,
         "order": group.order(),
         "relation_basis": [list(r) for r in result.relation_lattice.basis],
         "indecomposable_classes": classes,
     }
     lines = [
-        f"invariant factors: {list(group.invariant_factors)}",
+        f"invariant factors: {factors}",
         f"free rank: {group.free_rank}",
         f"order: {group.order() if group.is_finite else 'infinite'}",
         "relation basis:",
@@ -207,15 +208,16 @@ def cmd_classify(args):
             f"dense={entry.dense.status}, complete={entry.complete.status}, "
             "round_trip=ok"
         )
+    all_verified = all(e["verified"] for e in entries)
     lines.append(f"distinct subcategory lattices: {report.distinct_lattices}")
-    lines.append("all verified" if report.all_verified else "VERIFICATION FAILED")
+    lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
         "subgroup_count": report.subgroup_count,
         "distinct_lattices": report.distinct_lattices,
-        "all_verified": report.all_verified,
+        "all_verified": all_verified,
         "subgroups": entries,
     }
-    return digests, results, lines, EXIT_OK if report.all_verified else EXIT_VALIDATION
+    return digests, results, lines, EXIT_OK if all_verified else EXIT_VALIDATION
 
 
 def cmd_ring(args):
@@ -235,13 +237,14 @@ def cmd_ring(args):
     except InfiniteGroupError:
         raise refuse("InfiniteGroup", digests)
     r = report.ring
+    factors = list(r.group.invariant_factors)
 
     constants = {}
     for (i, j), value in sorted(r.structure_constants().items()):
         constants[files.table_key(p.indec_names[i], p.indec_names[j])] = list(value.vec)
     ideals = []
     lines = [
-        f"invariant factors: {list(r.group.invariant_factors)}",
+        f"invariant factors: {factors}",
         f"unit class: {list(r.unit_class.vec)}",
         f"ideals: {report.ideal_count}",
     ]
@@ -268,17 +271,18 @@ def cmd_ring(args):
             f"  ideal {idx}: order {entry.ideal.subgroup.order()}, "
             f"prime={entry.ideal.prime}{note}"
         )
-    lines.append("all verified" if report.all_verified else "VERIFICATION FAILED")
+    all_verified = all(e["verified"] for e in ideals)
+    lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
-        "invariant_factors": list(r.group.invariant_factors),
+        "invariant_factors": factors,
         "unit_class": list(r.unit_class.vec),
         "structure_constants": constants,
         "ideal_count": report.ideal_count,
         "distinct_lattices": report.distinct_lattices,
-        "all_verified": report.all_verified,
+        "all_verified": all_verified,
         "ideals": ideals,
     }
-    return digests, results, lines, EXIT_OK if report.all_verified else EXIT_VALIDATION
+    return digests, results, lines, EXIT_OK if all_verified else EXIT_VALIDATION
 
 
 def cmd_hom(args):

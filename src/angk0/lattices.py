@@ -519,36 +519,36 @@ class Lattice:
 class FgAbelianGroup:
     """Z^r modulo an integer row lattice.
 
-    Carries the invariant factors and the free rank; elements are held by
-    the canonical coset representatives of `relations.reduce`.
+    Holds its relations and free rank; elements are held by the canonical
+    coset representatives of `relations.reduce`.
     """
 
-    __slots__ = ("ambient_rank", "relations", "invariant_factors", "free_rank")
+    __slots__ = ("ambient_rank", "relations", "free_rank")
 
     def __init__(self, relations: Lattice):
         self.relations = relations
         self.ambient_rank = relations.ambient_rank
-        basis = relations.basis
-        order = relations.index_in_ambient()
+        self.free_rank = self.ambient_rank - relations.rank
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """The invariant factors above 1, computed on each read."""
+        basis = self.relations.basis
+        order = self.order()
         pivots = [row[i] for i, row in enumerate(basis) if row[i] > 1] if order else ()
         if order and len(pivots) <= 1:
             # Z^r / L is cyclic: every e_j with a unit pivot reduces to
             # multiples of the one e_j whose pivot is above 1.
-            self.invariant_factors = tuple(pivots)
-        else:
-            diag = _smith_diagonal([list(row) for row in basis], self.ambient_rank,
-                                   det=order or 0)
-            self.invariant_factors = tuple(x for x in diag if x > 1)
-        self.free_rank = self.ambient_rank - relations.rank
+            return tuple(pivots)
+        diag = _smith_diagonal([list(row) for row in basis], self.ambient_rank, det=order or 0)
+        return tuple(x for x in diag if x > 1)
 
     @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
     def order(self) -> int | None:
-        if not self.is_finite:
-            return None
-        return math.prod(self.invariant_factors)
+        return self.relations.index_in_ambient()
 
     def element(self, vec) -> "GroupElement":
         return GroupElement(self, self.relations.reduce(vec))
@@ -645,13 +645,9 @@ class Subgroup:
         return [self.group.element(row) for row in self.preimage.basis]
 
     def order(self) -> int | None:
-        """|H| = [Z^r : relations] / [Z^r : preimage] for finite groups."""
-        if not self.group.is_finite:
-            return None
-        return (
-            self.group.relations.index_in_ambient()
-            // self.preimage.index_in_ambient()
-        )
+        """|H| = |G| / [Z^r : preimage] for finite groups."""
+        order = self.group.order()
+        return None if order is None else order // self.preimage.index_in_ambient()
 
     def __eq__(self, other):
         return (

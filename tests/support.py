@@ -13,6 +13,7 @@ listed angles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -314,6 +315,45 @@ def random_presentation(rng: random.Random, max_rank=5, max_angles=4, max_mult=3
         suspension=Suspension(tuple(images)),
         angles=tuple(angles),
     )
+
+
+def random_paired_presentation(rng: random.Random, max_rank=5, max_mult=3, n=None):
+    """A presentation whose K0 is, for odd n, mostly finite of order 8-64.
+
+    The suspension swaps some disjoint pairs of symbols and fixes the rest,
+    and there is one random angle per swapped pair.  For odd n a fixed
+    symbol x gives the relation 2x and a swapped pair {a, b} the relation
+    a + b, which leaves one free summand per pair for the angles to cut
+    down.  Of seeds 0-199 with odd n, 110 give order 8-64, 2 above 64, 79
+    below 8 and 9 an infinite group; `random_presentation` gives 13, 0,
+    166 and 21.
+    """
+    rank = rng.randint(2, max_rank)
+    n = n if n is not None else rng.choice([3, 5, 7])
+    symbols = list(range(rank))
+    rng.shuffle(symbols)
+    images = list(range(rank))
+    pairs = rng.randint(0, rank // 2)
+    for i in range(pairs):
+        a, b = symbols[2 * i], symbols[2 * i + 1]
+        images[a], images[b] = b, a
+    angles = [
+        Angle(tuple(random_object(rng, rank, max_mult) for _ in range(n)))
+        for _ in range(pairs)
+    ]
+    return Presentation(
+        n=n,
+        indec_names=tuple(_NAMES[:rank]),
+        suspension=Suspension(tuple(images)),
+        angles=tuple(angles),
+    )
+
+
+# The random witness tests draw small presentations, then paired ones.
+WITNESS_DRAWS = (
+    functools.partial(random_presentation, max_rank=3, max_angles=2),
+    functools.partial(random_paired_presentation, max_rank=3),
+)
 
 
 def random_object(rng: random.Random, rank, max_mult=3):

@@ -45,10 +45,12 @@ from angk0.classify import verify_correspondence
 from angk0.embeddings import Embedding, check_surjective, induced_hom
 from angk0.presentations import Angle, Presentation, Suspension, basis_object
 from support import (
+    WITNESS_DRAWS,
     count_cosets_exhaustive,
     invariant_factors_by_minors,
     object_vectors_by_filter,
     random_object,
+    random_paired_presentation,
     random_presentation,
     random_valid_tensor,
     subgroup_count_by_subsets,
@@ -93,6 +95,11 @@ G2 = make(3, 1)
 def sampled_presentations():
     rng = random.Random(2024)
     return [random_presentation(rng) for _ in range(100)]
+
+
+def paired_presentations():
+    rng = random.Random(2025)
+    return [random_paired_presentation(rng) for _ in range(100)]
 
 
 def run_cli_json(args, capsys):
@@ -155,7 +162,7 @@ def test_criterion_4_elementary_properties():
     rng = random.Random(4)
     presentations = sampled_presentations()
     assert len(presentations) == 100
-    for p in presentations:
+    for p in presentations + paired_presentations():
         k = k0(p)
         assert class_of(k, zero_object(p.rank)).is_zero
         for _ in range(5):
@@ -171,13 +178,14 @@ def test_criterion_4_elementary_properties():
                 assert class_of(k, obj) == x
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    print(f"\nACCEPTANCE 4 PASS: elementary properties on 100 presentations ({elapsed:.3f}s)")
+    print(f"\nACCEPTANCE 4 PASS: elementary properties on 100 + 100 paired presentations "
+          f"({elapsed:.3f}s)")
 
 
 def test_criterion_5_rotation_closure():
     start = time.monotonic()
     failures = 0
-    for p in sampled_presentations():
+    for p in sampled_presentations() + paired_presentations():
         lat = relation_lattice(p)
         for a in p.angles:
             angle = a
@@ -187,7 +195,8 @@ def test_criterion_5_rotation_closure():
                 angle = rotate_angle(p, angle)
     assert failures == 0
     elapsed = time.monotonic() - start
-    print(f"\nACCEPTANCE 5 PASS: rotation closure on 100 presentations ({elapsed:.3f}s)")
+    print(f"\nACCEPTANCE 5 PASS: rotation closure on 100 + 100 paired presentations "
+          f"({elapsed:.3f}s)")
 
 
 def _two_term_sums(p, bound=2):
@@ -215,38 +224,40 @@ def _two_term_sums(p, bound=2):
 def test_criterion_6_witness_soundness_and_desk_completeness():
     start = time.monotonic()
     rng = random.Random(6)
-    found = 0
-    while found < 50:
-        p = random_presentation(rng, max_rank=3, max_angles=2, n=rng.choice([3, 5]))
-        k = k0(p)
-        buckets = [
-            (tail, sorted(heads))
-            for tail, heads in sorted(_two_term_sums(p).items())
-            if len(heads) >= 2
-        ]
-        if not buckets:
-            continue
-        tail, heads = buckets[rng.randrange(len(buckets))]
-        a, b = rng.sample(heads, 2)
-        assert equal_classes(k.relation_lattice, a, b)
-        outcome = witness_search(p, a, b)
-        assert isinstance(outcome, Witness)
-        found += 1
+    for draw in WITNESS_DRAWS:
+        found = 0
+        while found < 50:
+            p = draw(rng, n=rng.choice([3, 5]))
+            k = k0(p)
+            buckets = [
+                (tail, sorted(heads))
+                for tail, heads in sorted(_two_term_sums(p).items())
+                if len(heads) >= 2
+            ]
+            if not buckets:
+                continue
+            tail, heads = buckets[rng.randrange(len(buckets))]
+            a, b = rng.sample(heads, 2)
+            assert equal_classes(k.relation_lattice, a, b)
+            outcome = witness_search(p, a, b)
+            assert isinstance(outcome, Witness)
+            found += 1
 
-    unequal = 0
-    while unequal < 50:
-        p = random_presentation(rng, max_rank=3, max_angles=2)
-        k = k0(p)
-        a = random_object(rng, p.rank, max_mult=2)
-        b = random_object(rng, p.rank, max_mult=2)
-        if equal_classes(k.relation_lattice, a, b):
-            continue
-        outcome = witness_search(p, a, b)
-        assert isinstance(outcome, NotFound)
-        unequal += 1
+        unequal = 0
+        while unequal < 50:
+            p = draw(rng)
+            k = k0(p)
+            a = random_object(rng, p.rank, max_mult=2)
+            b = random_object(rng, p.rank, max_mult=2)
+            if equal_classes(k.relation_lattice, a, b):
+                continue
+            outcome = witness_search(p, a, b)
+            assert isinstance(outcome, NotFound)
+            unequal += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    print(f"\nACCEPTANCE 6 PASS: 50 witnesses found, 50 unequal pairs NotFound ({elapsed:.3f}s)")
+    print(f"\nACCEPTANCE 6 PASS: 50 witnesses found, 50 unequal pairs NotFound per draw "
+          f"({elapsed:.3f}s)")
 
 
 def test_criterion_7_tensor_suite(tmp_path, capsys):

@@ -479,6 +479,19 @@ class TestCallCounts:
         built = [p.indec_names for (p,) in lattices]
         assert built.count(("p", "q")) == 1
 
+    def test_k0_and_ring_run_one_smith_form(self, tmp_path, capsys, monkeypatch):
+        # G1 is Z/2 + Z/2 and the componentwise ring's group too, so neither
+        # is read off a cyclic basis; the text and JSON reports share one run.
+        g1 = write(tmp_path, "g1.json", G1)
+        comp = write(tmp_path, "comp.json", COMPONENTWISE)
+        calls = count_calls(monkeypatch, "lattices", "_smith_diagonal")
+        for command, path in (("k0", g1), ("ring", comp)):
+            for output in ("--text", "--json"):
+                before = len(calls)
+                assert main([command, path, output]) == 0
+                capsys.readouterr()
+                assert len(calls) - before == 1
+
 
 class TestDeterminism:
     def test_byte_identical_across_thread_caps(self, tmp_path):
@@ -883,6 +896,20 @@ class TestGolden:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
     def test_byte_identical(self, case, tmp_path, monkeypatch, capsys):
+        text_sha, json_sha, stderr, code = GOLDEN[case]
+        assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
+        assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
+
+    @pytest.mark.parametrize("case", ["classify-ok", "classify-order-bound", "classify-infinite",
+                                      "hom-ok", "hom-not-surjective", "hom-not-well-defined"])
+    def test_no_smith_form_unless_printed(self, case, tmp_path, monkeypatch, capsys):
+        # classify, hom and the classify refusals need the relations and their
+        # index only.  g1.json is Z/2 + Z/2 and t3.json is Z + Z/2, so these
+        # cases would reach the Smith form if anything asked for the factors.
+        def refused(*args, **kwargs):
+            raise AssertionError("Smith form computed")
+
+        monkeypatch.setattr("angk0.lattices._smith_diagonal", refused)
         text_sha, json_sha, stderr, code = GOLDEN[case]
         assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
         assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)

@@ -36,10 +36,12 @@ from angk0.presentations import (
     zero_object,
 )
 from support import (
+    WITNESS_DRAWS,
     _witness_pool,
     count_cosets_exhaustive,
     object_vectors_by_filter,
     random_object,
+    random_paired_presentation,
     random_presentation,
     witness_search_by_scan,
 )
@@ -69,15 +71,16 @@ class TestEuler:
 
     def test_additive_on_direct_sums(self):
         rng = random.Random(43)
-        for _ in range(40):
-            p = random_presentation(rng)
-            va = tuple(random_object(rng, p.rank) for _ in range(p.n))
-            vb = tuple(random_object(rng, p.rank) for _ in range(p.n))
-            a, b = Angle(va), Angle(vb)
-            ab = Angle(tuple(add_objects(x, y) for x, y in zip(va, vb)))
-            assert euler_vector(p, ab) == tuple(
-                x + y for x, y in zip(euler_vector(p, a), euler_vector(p, b))
-            )
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(40):
+                p = draw(rng)
+                va = tuple(random_object(rng, p.rank) for _ in range(p.n))
+                vb = tuple(random_object(rng, p.rank) for _ in range(p.n))
+                a, b = Angle(va), Angle(vb)
+                ab = Angle(tuple(add_objects(x, y) for x, y in zip(va, vb)))
+                assert euler_vector(p, ab) == tuple(
+                    x + y for x, y in zip(euler_vector(p, a), euler_vector(p, b))
+                )
 
 
 class TestRelationLattice:
@@ -100,22 +103,24 @@ class TestRelationLattice:
         # witness coefficients index into this order: angles, then symbols
         assert relation_rows(G1) == [(1, -1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
         rng = random.Random(53)
-        for _ in range(30):
-            p = random_presentation(rng)
-            rows = relation_rows(p)
-            assert rows == [euler_vector(p, a) for a in p.angles] + suspension_rows(p)
-            assert relation_lattice(p) == Lattice(p.rank, rows)
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(30):
+                p = draw(rng)
+                rows = relation_rows(p)
+                assert rows == [euler_vector(p, a) for a in p.angles] + suspension_rows(p)
+                assert relation_lattice(p) == Lattice(p.rank, rows)
 
     def test_rotation_closure(self):
         rng = random.Random(47)
-        for _ in range(60):
-            p = random_presentation(rng)
-            lat = relation_lattice(p)
-            for a in p.angles:
-                angle = a
-                for _ in range(p.n):
-                    assert euler_vector(p, angle) in lat
-                    angle = rotate_angle(p, angle)
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(60):
+                p = draw(rng)
+                lat = relation_lattice(p)
+                for a in p.angles:
+                    angle = a
+                    for _ in range(p.n):
+                        assert euler_vector(p, angle) in lat
+                        angle = rotate_angle(p, angle)
 
 
 class TestK0:
@@ -143,16 +148,17 @@ class TestClassOf:
 
     def test_suspension_sign(self):
         rng = random.Random(53)
-        for _ in range(60):
-            p = random_presentation(rng)
-            k = k0(p)
-            v = random_object(rng, p.rank)
-            lhs = class_of(k, suspend_object(p, v))
-            rhs = class_of(k, v)
-            if p.n % 2:
-                assert lhs == -rhs
-            else:
-                assert lhs == rhs
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(60):
+                p = draw(rng)
+                k = k0(p)
+                v = random_object(rng, p.rank)
+                lhs = class_of(k, suspend_object(p, v))
+                rhs = class_of(k, v)
+                if p.n % 2:
+                    assert lhs == -rhs
+                else:
+                    assert lhs == rhs
 
     def test_additivity_nonzero(self):
         k = k0(G1)
@@ -206,23 +212,25 @@ class TestObjectForElement:
 
     def test_round_trip_random(self):
         rng = random.Random(59)
-        for _ in range(40):
-            p = random_presentation(rng, n=rng.choice([3, 5, 7]))
-            k = k0(p)
-            for _ in range(10):
-                x = k.element([rng.randint(-5, 5) for _ in range(p.rank)])
-                obj = object_for_element(k, x)
-                assert class_of(k, obj) == x
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(40):
+                p = draw(rng, n=rng.choice([3, 5, 7]))
+                k = k0(p)
+                for _ in range(10):
+                    x = k.element([rng.randint(-5, 5) for _ in range(p.rank)])
+                    obj = object_for_element(k, x)
+                    assert class_of(k, obj) == x
 
     def test_pair_difference_random_even(self):
         rng = random.Random(60)
-        for _ in range(40):
-            p = random_presentation(rng, n=4)
-            k = k0(p)
-            for _ in range(10):
-                x = k.element([rng.randint(-5, 5) for _ in range(p.rank)])
-                pos, neg = object_for_element(k, x)
-                assert class_of(k, pos) - class_of(k, neg) == x
+        for draw in (random_presentation, random_paired_presentation):
+            for _ in range(40):
+                p = draw(rng, n=4)
+                k = k0(p)
+                for _ in range(10):
+                    x = k.element([rng.randint(-5, 5) for _ in range(p.rank)])
+                    pos, neg = object_for_element(k, x)
+                    assert class_of(k, pos) - class_of(k, neg) == x
 
 
 def check_witness(p, a, b, w):
@@ -277,36 +285,38 @@ class TestWitnessSearch:
 
     def test_soundness_random(self):
         rng = random.Random(61)
-        for _ in range(25):
-            p = random_presentation(rng, max_rank=3, max_angles=2, n=rng.choice([3, 4, 5]))
-            k = k0(p)
-            a = random_object(rng, p.rank, max_mult=2)
-            b = random_object(rng, p.rank, max_mult=2)
-            outcome = witness_search(p, a, b)
-            if isinstance(outcome, Witness):
-                assert equal_classes(k.relation_lattice, a, b)
-                check_witness(p, a, b, outcome)
+        for draw in WITNESS_DRAWS:
+            for _ in range(25):
+                p = draw(rng, n=rng.choice([3, 4, 5]))
+                k = k0(p)
+                a = random_object(rng, p.rank, max_mult=2)
+                b = random_object(rng, p.rank, max_mult=2)
+                outcome = witness_search(p, a, b)
+                if isinstance(outcome, Witness):
+                    assert equal_classes(k.relation_lattice, a, b)
+                    check_witness(p, a, b, outcome)
 
     def test_desk_completeness_constructed(self):
         rng = random.Random(67)
-        built = 0
-        while built < 20:
-            p = random_presentation(rng, max_rank=3, max_angles=2, n=rng.choice([3, 5]))
-            k = k0(p)
-            buckets = [
-                (tail, sorted(heads))
-                for tail, heads in sorted(two_term_sums(p).items())
-                if len(heads) >= 2
-            ]
-            if not buckets:
-                continue
-            tail, heads = buckets[rng.randrange(len(buckets))]
-            a, b = rng.sample(heads, 2)
-            assert equal_classes(k.relation_lattice, a, b)
-            outcome = witness_search(p, a, b)
-            assert isinstance(outcome, Witness)
-            check_witness(p, a, b, outcome)
-            built += 1
+        for draw in WITNESS_DRAWS:
+            built = 0
+            while built < 20:
+                p = draw(rng, n=rng.choice([3, 5]))
+                k = k0(p)
+                buckets = [
+                    (tail, sorted(heads))
+                    for tail, heads in sorted(two_term_sums(p).items())
+                    if len(heads) >= 2
+                ]
+                if not buckets:
+                    continue
+                tail, heads = buckets[rng.randrange(len(buckets))]
+                a, b = rng.sample(heads, 2)
+                assert equal_classes(k.relation_lattice, a, b)
+                outcome = witness_search(p, a, b)
+                assert isinstance(outcome, Witness)
+                check_witness(p, a, b, outcome)
+                built += 1
 
 
 @st.composite

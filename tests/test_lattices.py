@@ -507,6 +507,20 @@ class TestTransformFreeCore:
         expected = [x for x in invariant_factors_by_minors(rows) if x > 1]
         assert list(group.invariant_factors) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(relation_matrices(max_dim=3), st.data())
+    def test_order_is_the_index_of_the_relations(self, case, data):
+        cols, rows = case
+        group = FgAbelianGroup(Lattice(cols, rows))
+        gen = data.draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))
+        sub = subgroup_from_generators(group, [group.element(gen)])
+        if not group.is_finite:
+            assert group.order() is sub.order() is None
+            return
+        by_minors = math.prod(invariant_factors_by_minors(rows))
+        assert group.order() == math.prod(group.invariant_factors) == by_minors
+        assert group.order() % sub.order() == 0
+
 
 @st.composite
 def small_finite_groups(draw):
@@ -546,6 +560,14 @@ class TestEnumerationCanonical:
         reps = list(group.relations.coset_reps())
         assert len(reps) == len(set(reps)) == group.order()
         assert all(group.relations.reduce(v) == v for v in reps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_finite_groups())
+    def test_subgroup_order_counts_its_elements(self, group):
+        elements = list(group.elements())
+        for s in enumerate_subgroups(group):
+            assert s.order() == sum(s.contains(x) for x in elements)
+            assert group.order() % s.order() == 0
 
 
 def assert_smith_form(cols, rows):
