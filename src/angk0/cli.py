@@ -208,7 +208,7 @@ def cmd_classify(args):
             f"dense={entry.dense.status}, complete={entry.complete.status}, "
             "round_trip=ok"
         )
-    all_verified = all(e["verified"] for e in entries)
+    all_verified = report.all_verified
     lines.append(f"distinct subcategory lattices: {report.distinct_lattices}")
     lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
@@ -271,7 +271,7 @@ def cmd_ring(args):
             f"  ideal {idx}: order {entry.ideal.subgroup.order()}, "
             f"prime={entry.ideal.prime}{note}"
         )
-    all_verified = all(e["verified"] for e in ideals)
+    all_verified = report.all_verified
     lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
         "invariant_factors": factors,

@@ -10,9 +10,11 @@ import time
 import pytest
 
 from angk0 import files
+from angk0.classify import CorrespondenceReport
 from angk0.cli import main
 from angk0.k0 import relation_rows, sum_of_terms, witness_search
 from angk0.lattices import FgAbelianGroup
+from angk0.tensor import TensorCorrespondenceReport
 
 G1 = {
     "n": 3,
@@ -491,6 +493,21 @@ class TestCallCounts:
                 assert main([command, path, output]) == 0
                 capsys.readouterr()
                 assert len(calls) - before == 1
+
+
+@pytest.mark.parametrize("command, doc, report_class", [
+    ("classify", G1, CorrespondenceReport),
+    ("ring", F2, TensorCorrespondenceReport),
+])
+def test_verdict_is_the_reports(command, doc, report_class, tmp_path, capsys, monkeypatch):
+    # The text line, the JSON field and the exit code all follow the
+    # report's all_verified, so a failing verdict reaches each of them.
+    path = write(tmp_path, "p.json", doc)
+    monkeypatch.setattr(report_class, "all_verified", property(lambda self: False))
+    assert main([command, path]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "VERIFICATION FAILED"
+    code, out = run_json([command, path], capsys)
+    assert (code, out["results"]["all_verified"]) == (2, False)
 
 
 class TestDeterminism:
