@@ -19,7 +19,8 @@ oracles in tests/support.py.
 
 For finite groups `verify_correspondence` lists every subgroup with its
 two certificates and realizes each generator as the class of an explicit
-object.
+object.  Many subgroups share preimage-basis rows, so each distinct row is
+realized once per call and its entries share that realization.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def verify_correspondence(k: K0Result) -> CorrespondenceReport:
     and every generator of H must be realized as the class of an explicit
     object.  Each subcategory stores its subgroup's preimage, and the
     enumeration lists each preimage once, so the lattices are distinct.
+    A generator is a preimage-basis row; each distinct row is realized
+    once, and every entry listing it holds the same GeneratorRealization.
     """
     p = k.presentation
     if p.n % 2 == 0:
@@ -157,21 +160,22 @@ def verify_correspondence(k: K0Result) -> CorrespondenceReport:
     if not k.group.is_finite:
         raise InfiniteGroupError("exhaustive verification requires a finite group")
     entries = []
+    realized = {}  # basis row -> its realization, shared by every entry listing it
     for subgroup in enumerate_subgroups(k.group):
         sub = SubcategoryLattice(k, subgroup)
-        gens = []
         for row in subgroup.preimage.basis:
-            x = k.group.element(row)
-            obj = object_for_element(k, x)
-            realizes = equal_classes(k.relation_lattice, obj, x.vec)
-            gens.append(GeneratorRealization(element=x.vec, obj=obj, realizes=realizes))
+            if row not in realized:
+                x = k.group.element(row)
+                obj = object_for_element(k, x)
+                realizes = equal_classes(k.relation_lattice, obj, x.vec)
+                realized[row] = GeneratorRealization(element=x.vec, obj=obj, realizes=realizes)
         entries.append(
             CorrespondenceEntry(
                 subgroup=subgroup,
                 subcategory=sub,
                 dense=is_dense(sub),
                 complete=is_complete(sub),
-                generators=tuple(gens),
+                generators=tuple(realized[row] for row in subgroup.preimage.basis),
             )
         )
     return CorrespondenceReport(

@@ -14,6 +14,7 @@ would write it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -181,30 +182,33 @@ def cmd_classify(args):
         raise refuse(f"OrderBound: group order {order} exceeds {args.max_order}", digests)
 
     report = verify_correspondence(result)
+
+    @functools.cache  # entries share their generators, so share their nodes
+    def generator_json(g):
+        return {
+            "element": list(g.element),
+            "object": object_json(p.indec_names, g.obj),
+            "realized": g.realizes,
+        }
+
     entries = []
     lines = [f"subgroups: {report.subgroup_count}"]
     for idx, entry in enumerate(report.entries):
+        sub_order = entry.subgroup.order()
         entries.append(
             {
                 "index": idx,
                 "preimage_basis": [list(r) for r in entry.subgroup.preimage.basis],
-                "order": entry.subgroup.order(),
+                "order": sub_order,
                 "dense": _cert_json(entry.dense),
                 "complete": _cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
-                "generators": [
-                    {
-                        "element": list(g.element),
-                        "object": object_json(p.indec_names, g.obj),
-                        "realized": g.realizes,
-                    }
-                    for g in entry.generators
-                ],
+                "generators": [generator_json(g) for g in entry.generators],
                 "verified": entry.verified,
             }
         )
         lines.append(
-            f"  subgroup {idx}: order {entry.subgroup.order()}, "
+            f"  subgroup {idx}: order {sub_order}, "
             f"dense={entry.dense.status}, complete={entry.complete.status}, "
             "round_trip=ok"
         )
@@ -249,13 +253,15 @@ def cmd_ring(args):
         f"ideals: {report.ideal_count}",
     ]
     for idx, entry in enumerate(report.entries):
+        preimage = entry.ideal.subgroup.preimage
+        ideal_order, full = entry.ideal.subgroup.order(), preimage.is_full()
         ideals.append(
             {
                 "index": idx,
-                "preimage_basis": [list(row) for row in entry.ideal.subgroup.preimage.basis],
-                "order": entry.ideal.subgroup.order(),
+                "preimage_basis": [list(row) for row in preimage.basis],
+                "order": ideal_order,
                 "prime": entry.ideal.prime,
-                "is_full_ring": entry.ideal.subgroup.preimage.is_full(),
+                "is_full_ring": full,
                 # enumerated ideals are joins of principal ideals, and
                 # their prime flag is the object-pair prime property.
                 "tensor_closed": True,
@@ -266,9 +272,9 @@ def cmd_ring(args):
                 "verified": entry.verified,
             }
         )
-        note = " (improper: the whole ring)" if entry.ideal.subgroup.preimage.is_full() else ""
+        note = " (improper: the whole ring)" if full else ""
         lines.append(
-            f"  ideal {idx}: order {entry.ideal.subgroup.order()}, "
+            f"  ideal {idx}: order {ideal_order}, "
             f"prime={entry.ideal.prime}{note}"
         )
     all_verified = report.all_verified

@@ -167,11 +167,12 @@ def validate_tensor(t: TensorPresentation, relations: Lattice) -> TensorValidati
 class K0Ring:
     """The Grothendieck group with multiplication induced by the table."""
 
-    __slots__ = ("result", "tensor")
+    __slots__ = ("result", "tensor", "_principal")
 
     def __init__(self, result: K0Result, tensor: TensorPresentation):
         self.result = result
         self.tensor = tensor
+        self._principal = {}  # coset rep -> _principal_rows, built once per ring
 
     @property
     def group(self):
@@ -214,12 +215,17 @@ class RingIdeal:
     prime: bool
 
 
-def _principal_rows(r: K0Ring, v) -> list[tuple[int, ...]]:
+def _principal_rows(r: K0Ring, v) -> tuple[tuple[int, ...], ...]:
     # e_i (x) v for every symbol i.  Over the relations these span the
     # principal ideal of v, which holds v itself: validate_tensor checks the
-    # unit law on objects, so unit (x) v == v exactly.
-    rank = r.result.presentation.rank
-    return [tensor_int_vectors(r.tensor, basis_object(rank, i), v) for i in range(rank)]
+    # unit law on objects, so unit (x) v == v exactly.  The ideal closure
+    # and the prime test ask for the same reps, so each is built once.
+    rows = r._principal.get(v)
+    if rows is None:
+        rank = r.result.presentation.rank
+        rows = r._principal[v] = tuple(
+            tensor_int_vectors(r.tensor, basis_object(rank, i), v) for i in range(rank))
+    return rows
 
 
 def is_prime_ideal(r: K0Ring, ideal) -> bool:

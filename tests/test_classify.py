@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import angk0.classify
 import angk0.tensor
 from angk0.classify import (
+    GeneratorRealization,
     SubcategoryLattice,
     is_complete,
     is_dense,
@@ -14,12 +16,13 @@ from angk0.classify import (
     verify_correspondence,
 )
 from angk0.errors import EvenNUnsupportedError, InfiniteGroupError
-from angk0.k0 import k0
+from angk0.k0 import equal_classes, k0, object_for_element
 from angk0.lattices import Lattice, Subgroup, enumerate_subgroups, subgroup_from_generators
 from angk0.presentations import Angle, Presentation, Suspension, basis_object
 from angk0.tensor import verify_tensor_correspondence
 from support import (
     member_containing_each_symbol,
+    random_paired_presentation,
     random_valid_tensor,
     rotation_violation,
     summand_closure_holds,
@@ -162,10 +165,11 @@ class TestIsComplete:
         log = count_lattice_tests(monkeypatch, angk0.classify)
         report = verify_correspondence(k)
         assert report.subgroup_count == 16 and report.all_verified
-        # the only membership tests left realize the generators, one each
-        generators = sum(len(e.generators) for e in report.entries)
+        # the only membership tests left realize the generators, one for
+        # each distinct preimage-basis row however many entries list it
+        rows = {row for e in report.entries for row in e.subgroup.preimage.basis}
         assert log == {"dense": 16, "complete": 16, "contains_lattice": 0,
-                       "member_in_certificate": 0, "member_elsewhere": generators}
+                       "member_in_certificate": 0, "member_elsewhere": len(rows)}
         # the public Subgroup constructor still tests containment
         with pytest.raises(ValueError):
             Subgroup(k.group, Lattice(3))
@@ -324,6 +328,38 @@ class TestVerifyCorrespondence:
                     frontier.extend(x + y for y in list(closure))
             for v in itertools.product(range(3), repeat=3):
                 assert sub.contains_object(v) == (k.group.element(v) in closure)
+
+
+class TestRealizedOncePerRow:
+    """verify_correspondence realizes each distinct preimage-basis row once
+    and hands that realization to every entry listing the row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_one_realization_per_row(self, seed):
+        k = k0(random_paired_presentation(random.Random(seed), max_rank=4))
+        assume(k.group.is_finite and k.group.order() <= 64)
+        with mock.patch.object(angk0.classify, "object_for_element",
+                               side_effect=object_for_element) as realize:
+            report = verify_correspondence(k)
+        by_row = {}
+        for entry in report.entries:
+            for row, g in zip(entry.subgroup.preimage.basis, entry.generators, strict=True):
+                assert by_row.setdefault(row, g) is g
+        assert realize.call_count == len(by_row)
+        for row, g in by_row.items():
+            x = k.group.element(row)
+            obj = object_for_element(k, x)
+            assert g == GeneratorRealization(x.vec, obj, equal_classes(k.relation_lattice, obj, x.vec))
+            assert g.realizes
+
+    def test_elementary_abelian_rank_6(self):
+        # (Z/2)^6 lists 16,950 generators over its 2825 subgroups, on 69
+        # distinct rows: the 63 nonzero 0/1 vectors and the six 2 e_i
+        report = verify_correspondence(k0(make(3, 6)))
+        assert report.subgroup_count == 2825 and report.all_verified
+        assert sum(len(e.generators) for e in report.entries) == 16950
+        assert len({id(g) for e in report.entries for g in e.generators}) == 69
 
 
 def gaussian_binomial_sum(k, q):

@@ -1,14 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import angk0.tensor
 from angk0.errors import EvenNUnsupportedError, InvalidTensorError
 from angk0.k0 import k0, relation_lattice
 from angk0.lattices import enumerate_subgroups
 from angk0.presentations import Angle, Presentation, Suspension, basis_object
 from angk0.tensor import (
     TensorPresentation,
+    _principal_rows,
     enumerate_ideals,
     is_prime_ideal,
     ring,
@@ -283,6 +286,41 @@ class TestIdealOracles:
             [i.subgroup.preimage for i in enumerate_ideals(r)],
         ):
             assert len(set(preimages)) == len(preimages)
+
+
+class TestPrincipalRowsOnce:
+    """The ideal closure and the prime tests share one build of each coset
+    rep's principal rows per verification."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_each_rep_built_once(self, rng):
+        t = random_valid_tensor(rng)
+        group = k0(t.base).group
+        assume(group.is_finite and group.order() <= 64)
+        reps, inside, built = [], [], []
+
+        def principal(r, v):
+            reps.append(v)
+            inside.append(v)
+            try:
+                return _principal_rows(r, v)
+            finally:
+                inside.pop()
+
+        def product(t, v, w):
+            if inside:
+                built.append(w)
+            return tensor_int_vectors(t, v, w)
+
+        with mock.patch.object(angk0.tensor, "_principal_rows", principal), \
+                mock.patch.object(angk0.tensor, "tensor_int_vectors", product):
+            report = verify_tensor_correspondence(t)
+        assert len(built) <= t.base.rank * len(set(reps))
+        r = report.ring
+        assert [e.ideal.subgroup.preimage for e in report.entries] == ideals_by_filter(r)
+        for e in report.entries:
+            assert e.ideal.prime == object_prime_by_pairs(r, e.ideal.subgroup.preimage)
 
 
 def identity_presentation(k):
