@@ -19,7 +19,6 @@ from .lattices import (
     determinant,
     enumerate_subgroups,
     hermite_normal_form,
-    hom_from_generator_images,
     is_surjective,
     smith_normal_form,
     subgroup_from_generators,

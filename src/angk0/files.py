@@ -170,9 +170,8 @@ def parse_document(doc) -> LoadedDocument:
             continue
         susp_images[index[key]] = index[value]
     for name in names:
-        if name in index and susp_images[index[name]] is None:
-            if name not in susp:
-                violations.append(f"suspension: missing symbol {name!r}")
+        if susp_images[index[name]] is None and name not in susp:
+            violations.append(f"suspension: missing symbol {name!r}")
 
     angle_objs = []
     for ai, angle in enumerate(angles_raw):

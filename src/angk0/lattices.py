@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import InfiniteGroupError, NotWellDefinedError
+from .errors import InfiniteGroupError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -702,7 +702,12 @@ def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
 
 class GroupHom:
     """A homomorphism between quotient groups, induced by an integer matrix
-    on the ambient spaces (row vectors act on the left)."""
+    on the ambient spaces (row vectors act on the left).
+
+    Unchecked: the caller vouches that the matrix maps the source relations
+    into the target relations.  `embeddings.induced_hom` is the checked
+    constructor.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
@@ -718,25 +723,6 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom({self.matrix!r})"
-
-
-def hom_from_generator_images(
-    source: FgAbelianGroup, target: FgAbelianGroup, matrix: IntMatrix
-) -> GroupHom:
-    """Build the hom induced by `matrix`, verifying well-definedness.
-
-    Raises NotWellDefinedError with a witness relation row when the matrix
-    fails to map the source relations into the target relations.
-    """
-    if matrix.rows != source.ambient_rank or matrix.cols != target.ambient_rank:
-        raise ValueError("matrix shape does not match the ambient ranks")
-    for row in source.relations.basis:
-        if apply_matrix(row, matrix) not in target.relations:
-            raise NotWellDefinedError(
-                f"relation row {list(row)} does not map into the target relations",
-                witness=row,
-            )
-    return GroupHom(source, target, matrix)
 
 
 def is_surjective(hom: GroupHom) -> bool:

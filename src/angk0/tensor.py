@@ -295,8 +295,6 @@ def verify_tensor_correspondence(t: TensorPresentation) -> TensorCorrespondenceR
     object-pair prime property is the ideal's prime flag.
     """
     r = ring(t)
-    if not r.group.is_finite:
-        raise InfiniteGroupError("exhaustive verification requires a finite ring")
     k = r.result
     entries = []
     for ideal in enumerate_ideals(r):

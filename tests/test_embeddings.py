@@ -1,7 +1,7 @@
-import random
 import time
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from angk0.embeddings import (
     Embedding,
@@ -11,7 +11,7 @@ from angk0.embeddings import (
     validate_embedding,
 )
 from angk0.errors import NotWellDefinedError
-from angk0.k0 import k0, relation_lattice
+from angk0.k0 import euler_vector, k0, relation_lattice, suspension_rows
 from angk0.lattices import apply_matrix, is_surjective
 from angk0.presentations import Angle, Presentation, Suspension
 
@@ -101,80 +101,88 @@ class TestSurjectivity:
         assert not check_surjective(e)
 
 
-class TestWellDefinedness:
-    def test_equivalent_to_image_containment(self):
-        # induced_hom succeeds exactly when every canonical relation row of
-        # the domain maps into the target relation lattice
-        rng = random.Random(101)
-        from angk0.presentations import Angle, object_vec
+@st.composite
+def intertwined_embeddings(draw):
+    """A valid embedding into an arity-3 target (r <= 6, any suspension
+    permutation, 0-3 angles).  The domain (n = 3..9) is a symbol subset
+    closed under T^(n-2), listed in a drawn order, with the restricted
+    power as its suspension and 0-3 random angles."""
+    t_rank = draw(st.integers(1, 6))
+    t_images = draw(st.permutations(range(t_rank)))
+    t_obj = st.tuples(*[st.integers(0, 2)] * t_rank)
+    t = make(
+        3,
+        tuple("pqrstu"[:t_rank]),
+        tuple(t_images),
+        tuple(Angle(v) for v in draw(st.lists(st.tuples(*[t_obj] * 3), max_size=3))),
+    )
+    n = draw(st.integers(3, 9))
 
-        for _ in range(60):
-            # n - 2 must be even so the identity domain suspension
-            # intertwines with the swap on the target
-            n = rng.choice([4, 6])
-            angles = tuple(
-                Angle(
-                    tuple(
-                        object_vec([rng.randint(0, 2)]) for _ in range(n)
-                    )
-                )
-                for _ in range(rng.randint(0, 2))
-            )
-            c = make(n, ("c",), (0,), angles=angles)
-            e = Embedding(domain=c, target=T_SWAP, images=(0,))
-            target_lattice = relation_lattice(T_SWAP)
-            m = embedding_matrix(e)
-            contained = all(
-                apply_matrix(row, m) in target_lattice
-                for row in relation_lattice(c).basis
-            )
-            try:
-                induced_hom(e)
-                assert contained
-            except NotWellDefinedError:
-                assert not contained
+    def power(y):
+        for _ in range(n - 2):
+            y = t_images[y]
+        return y
+
+    closure = set(draw(st.sets(st.integers(0, t_rank - 1), min_size=1)))
+    while not {power(y) for y in closure} <= closure:
+        closure |= {power(y) for y in closure}
+    images = draw(st.permutations(sorted(closure)))
+    index_of = {y: x for x, y in enumerate(images)}
+    c_obj = st.tuples(*[st.integers(0, 2)] * len(images))
+    c = make(
+        n,
+        tuple(f"c{x}" for x in range(len(images))),
+        tuple(index_of[power(y)] for y in images),
+        tuple(Angle(v) for v in draw(st.lists(st.tuples(*[c_obj] * n), max_size=3))),
+    )
+    return Embedding(domain=c, target=t, images=tuple(images))
+
+
+class TestWellDefinedness:
+    @settings(max_examples=300, deadline=None)
+    @given(intertwined_embeddings())
+    def test_equivalent_to_image_containment(self, e):
+        # induced_hom tests only the Euler vectors; the relation basis of
+        # the whole domain lattice is the independent oracle
+        assert validate_embedding(e).valid
+        target_lattice = relation_lattice(e.target)
+        m = embedding_matrix(e)
+
+        def maps_inside(row):
+            return apply_matrix(row, m) in target_lattice
+
+        assert all(maps_inside(row) for row in suspension_rows(e.domain))
+        contained = all(maps_inside(row) for row in relation_lattice(e.domain).basis)
+        first = next(
+            (
+                (idx, row)
+                for idx, row in enumerate(euler_vector(e.domain, a) for a in e.domain.angles)
+                if not maps_inside(row)
+            ),
+            None,
+        )
+        event("well defined" if contained else "not well defined")
+        try:
+            induced_hom(e)
+        except NotWellDefinedError as exc:
+            assert not contained
+            idx, row = first
+            assert exc.witness == row
+            assert f"listed angle {idx} " in str(exc)
+        else:
+            assert contained and first is None
 
 
 class TestIntertwining:
-    def test_matrix_commutes_with_suspensions(self):
-        rng = random.Random(97)
-        for _ in range(40):
-            # random valid embedding: choose a target permutation, then set
-            # the domain suspension to the induced power on a symbol subset
-            t_rank = rng.randint(1, 4)
-            images_t = list(range(t_rank))
-            rng.shuffle(images_t)
-            t = make(3, tuple("pqrs"[:t_rank]), tuple(images_t))
-            n = rng.choice([4, 5, 6])
-            power = n - 2
-            # find an orbit-closed subset under sigma_T^power
-            def power_image(i):
-                for _ in range(power):
-                    i = images_t[i]
-                return i
-
-            subset = sorted({power_image(j) for j in range(t_rank)} | {0})
-            closure = set(subset)
-            while True:
-                extended = closure | {power_image(i) for i in closure}
-                if extended == closure:
-                    break
-                closure = extended
-            subset = sorted(closure)
-            index_of = {sym: i for i, sym in enumerate(subset)}
-            c = make(
-                n,
-                tuple(f"c{i}" for i in range(len(subset))),
-                tuple(index_of[power_image(sym)] for sym in subset),
-            )
-            e = Embedding(domain=c, target=t, images=tuple(subset))
-            assert validate_embedding(e).valid
-            m = embedding_matrix(e)
-            s_c = c.suspension.matrix()
-            s_t_pow = t.suspension.matrix()
-            for _ in range(power - 1):
-                s_t_pow = s_t_pow @ t.suspension.matrix()
-            assert s_c @ m == m @ s_t_pow
+    @settings(max_examples=100, deadline=None)
+    @given(intertwined_embeddings())
+    def test_matrix_commutes_with_suspensions(self, e):
+        assert validate_embedding(e).valid
+        m = embedding_matrix(e)
+        s_t_pow = e.target.suspension.matrix()
+        for _ in range(e.domain.n - 3):
+            s_t_pow = s_t_pow @ e.target.suspension.matrix()
+        assert e.domain.suspension.matrix() @ m == m @ s_t_pow
 
 
 class TestLargeArity:
