@@ -8,7 +8,9 @@ thread settings.
 The argument parser is built once, when this module is imported, and every
 `main` call in the process reuses it.  A `--json` report is written by
 `files.report_json`, byte for byte as `json.dumps(sort_keys=True, indent=2)`
-would write it.
+would write it.  A node listed at several places of a report (a classify
+generator or certificate, a witness term) is one object, which the writer
+writes at most twice per indent and then reuses.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def cmd_k0(args):
         "invariant_factors": factors,
         "free_rank": group.free_rank,
         "order": group.order(),
-        "relation_basis": [list(r) for r in result.relation_lattice.basis],
+        "relation_basis": result.relation_lattice.basis,
         "indecomposable_classes": classes,
     }
     lines = [
@@ -182,11 +184,13 @@ def cmd_classify(args):
         raise refuse(f"OrderBound: group order {order} exceeds {args.max_order}", digests)
 
     report = verify_correspondence(result)
+    # entries share their generators and certificates, so share their nodes
+    cert_json = functools.cache(_cert_json)
 
-    @functools.cache  # entries share their generators, so share their nodes
+    @functools.cache
     def generator_json(g):
         return {
-            "element": list(g.element),
+            "element": g.element,
             "object": object_json(p.indec_names, g.obj),
             "realized": g.realizes,
         }
@@ -198,10 +202,10 @@ def cmd_classify(args):
         entries.append(
             {
                 "index": idx,
-                "preimage_basis": [list(r) for r in entry.subgroup.preimage.basis],
+                "preimage_basis": entry.subgroup.preimage.basis,
                 "order": sub_order,
-                "dense": _cert_json(entry.dense),
-                "complete": _cert_json(entry.complete),
+                "dense": cert_json(entry.dense),
+                "complete": cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
                 "generators": [generator_json(g) for g in entry.generators],
                 "verified": entry.verified,
@@ -245,7 +249,7 @@ def cmd_ring(args):
 
     constants = {}
     for (i, j), value in sorted(r.structure_constants().items()):
-        constants[files.table_key(p.indec_names[i], p.indec_names[j])] = list(value.vec)
+        constants[files.table_key(p.indec_names[i], p.indec_names[j])] = value.vec
     ideals = []
     lines = [
         f"invariant factors: {factors}",
@@ -258,7 +262,7 @@ def cmd_ring(args):
         ideals.append(
             {
                 "index": idx,
-                "preimage_basis": [list(row) for row in preimage.basis],
+                "preimage_basis": preimage.basis,
                 "order": ideal_order,
                 "prime": entry.ideal.prime,
                 "is_full_ring": full,
@@ -281,7 +285,7 @@ def cmd_ring(args):
     lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
         "invariant_factors": factors,
-        "unit_class": list(r.unit_class.vec),
+        "unit_class": r.unit_class.vec,
         "structure_constants": constants,
         "ideal_count": report.ideal_count,
         "distinct_lattices": report.distinct_lattices,
@@ -339,7 +343,7 @@ def cmd_hom(args):
     surjective = is_surjective(hom)
     results = {
         "well_defined": True,
-        "matrix": [list(r) for r in hom.matrix.entries],
+        "matrix": hom.matrix.entries,
         "surjective": surjective,
     }
     lines = [

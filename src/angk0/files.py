@@ -282,13 +282,57 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def report_json(x, newline: str = "\n") -> str:
+def report_json(x) -> str:
     """Exactly ``json.dumps(x, sort_keys=True, indent=2)`` for what reports
     hold: str-keyed dicts, lists, tuples, str, int, bool and None.
 
     ``indent`` turns off json's C encoder, so reports are written here
-    instead.  ``newline`` is a line break plus the indent of x's line.
+    instead.  A report lists shared nodes many times (a generator under
+    every subgroup it generates), so a dict object met a second time at the
+    same indent keeps its text for the rest of the call; a dict met once
+    keeps none.  The memo is keyed by ``id``, which is safe only while x
+    keeps every node alive, so it lives for one call.  Containers write
+    their plain int and str children inline; bools, which are ints too, and
+    other subclasses of int and str go through ``_encode``.
     """
+    return _encode(x, "\n", {})
+
+
+def _encode(x, newline: str, memo: dict) -> str:
+    # newline is a line break plus the indent of x's line.  memo maps the
+    # (id, newline) of a dict met once to None and of a dict met again to
+    # its text.  Items are built in one comprehension: a child's text held
+    # in a local while the parent joins would keep the largest child alive
+    # twice.  One `%` copies the joined items once, where a chain of `+`
+    # would copy them once per operand.
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        key = (id(x), newline)
+        text = memo.get(key)
+        if text is None:
+            inner = newline + "  "
+            text = "{%s%s%s}" % (inner, ("," + inner).join([
+                encode_basestring_ascii(k) + ": " + (
+                    repr(v) if type(v) is int
+                    else encode_basestring_ascii(v) if type(v) is str
+                    else _encode(v, inner, memo))
+                for k, v in sorted(x.items())
+            ]), newline)
+            memo[key] = text if key in memo else None
+        return text
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join([
+            repr(v) if type(v) is int
+            else encode_basestring_ascii(v) if type(v) is str
+            else _encode(v, inner, memo)
+            for v in x
+        ]), newline)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
     if x is None:
         return "null"
     if x is True:
@@ -297,19 +341,6 @@ def report_json(x, newline: str = "\n") -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    inner = newline + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + report_json(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = [report_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 

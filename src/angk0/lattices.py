@@ -435,8 +435,9 @@ class Lattice:
 
     def __init__(self, ambient_rank: int, rows=(), *, _plain=False):
         # _plain marks int tuples of length ambient_rank, a Hermite basis plus
-        # a few rows (`join`): they skip validation, and the plain elimination
-        # finishes them faster than Bareiss alone would run.
+        # a few rows (`join`, the join closure, the prime test): they skip
+        # validation, and the plain elimination finishes them faster than
+        # Bareiss alone would run.
         if not _plain:
             rows = IntMatrix(rows, cols=ambient_rank).entries
         a = [list(row) for row in rows]
@@ -676,11 +677,15 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
 def _join_closure(group: FgAbelianGroup, rows_of) -> list[Subgroup]:
     # Close a finite group's relations under joins with rows_of(v) for each
     # nonzero coset rep v.  rows_of(v) spans v's cyclic subgroup or principal
-    # ideal, whose join with a found lattice depends only on v's coset.
+    # ideal, whose join with a found lattice depends only on v's coset.  It
+    # returns a tuple of int tuples of length r, so the joins skip `join`'s
+    # row check.
+    r = group.ambient_rank
     found, pending = {group.relations}, [group.relations]
     while pending:
         current = pending.pop()
-        new = {current.join(rows_of(v)) for v in current.coset_reps() if any(v)} - found
+        new = {Lattice(r, current.basis + rows_of(v), _plain=True)
+               for v in current.coset_reps() if any(v)} - found
         found |= new
         pending += new
     return [Subgroup._above_relations(group, lattice)
@@ -697,7 +702,7 @@ def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
-    return _join_closure(group, lambda v: [v])
+    return _join_closure(group, lambda v: (v,))
 
 
 class GroupHom:

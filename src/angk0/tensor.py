@@ -243,9 +243,11 @@ def is_prime_ideal(r: K0Ring, ideal) -> bool:
 def _object_prime(r: K0Ring, preimage) -> bool:
     # R is a finite commutative unital ring, so a proper prime ideal is
     # maximal (Atiyah-Macdonald, Prop. 8.1): I is prime iff I = R or
-    # I + aR = R for every a outside I.
+    # I + aR = R for every a outside I.  The principal rows are int tuples
+    # of length rank, so the joins skip `Lattice.join`'s row check.
+    rank, basis = preimage.ambient_rank, preimage.basis
     return preimage.is_full() or all(
-        preimage.join(_principal_rows(r, a)).is_full()
+        Lattice(rank, basis + _principal_rows(r, a), _plain=True).is_full()
         for a in preimage.coset_reps()
         if any(a)
     )

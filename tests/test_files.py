@@ -1,3 +1,5 @@
+import enum
+import gc
 import itertools
 import json
 
@@ -134,8 +136,9 @@ class TestRoundTrip:
 
 # every code point, lone surrogates and control characters included
 REPORT_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+REPORT_SCALARS = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | REPORT_TEXT
 REPORT_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | REPORT_TEXT,
+    REPORT_SCALARS,
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
     | st.dictionaries(REPORT_TEXT, inner),
     max_leaves=20,
@@ -146,6 +149,63 @@ REPORT_VALUES = st.recursive(
 @given(REPORT_VALUES)
 def test_report_json_is_json_dumps(x):
     assert report_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+@st.composite
+def documents_sharing_nodes(draw):
+    """A report in which the same dict and list objects sit at several
+    places and depths; later shared nodes may hold earlier ones."""
+    shared = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = REPORT_SCALARS | st.sampled_from(shared) if shared else REPORT_SCALARS
+        shared.append(draw(
+            st.dictionaries(REPORT_TEXT, inner, min_size=1, max_size=3)
+            | st.lists(inner, min_size=1, max_size=3)
+        ))
+    return draw(st.recursive(
+        st.sampled_from(shared) | REPORT_SCALARS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner),
+        max_leaves=12,
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_sharing_nodes())
+def test_report_json_shared_nodes(x):
+    # a node's text depends on its indent, so reuse must too
+    assert report_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+# True == 1 and Level.LOW == 1, but each has its own text
+MIXED_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.just(Level.LOW)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MIXED_SCALARS) | st.dictionaries(REPORT_TEXT, MIXED_SCALARS))
+def test_report_json_bools_are_not_ints(x):
+    assert report_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+def test_report_json_memo_lives_for_one_call():
+    # Each document dies when its call returns, so the next one's dict
+    # reuses its id: text kept between calls would be written again.
+    for i in range(20):
+        expected = json.dumps([{"i": i}] * 3, sort_keys=True, indent=2)
+        assert report_json([{"i": i}] * 3) == expected
+
+
+def test_report_json_leaves_no_cycles():
+    # The memo holds the text of every shared node, megabytes on a large
+    # classify report: it must die with the call, not wait for the cycle
+    # collector.
+    doc = {"a": [{"b": [1]}] * 3}
+    gc.collect()
+    report_json(doc)
+    assert gc.collect() == 0
 
 
 def test_report_json_refuses_other_types():
