@@ -89,24 +89,25 @@ def _built(sub) -> None:
         raise TypeError("certificates need a SubcategoryLattice built from a subgroup")
 
 
+# Every built subcategory gets these two certificates.
+DENSE = Certificate(
+    "holds", "e_j + S e_j is a member for every symbol, so C + SC witnesses every C")
+COMPLETE = Certificate(
+    "holds", "lattice contains the relation lattice, so Euler relations close angles")
+
+
 def is_dense(sub: SubcategoryLattice) -> Certificate:
     """Density: the lattice holds the relations, which for odd n hold
     e_j + S e_j, so each object C has the member C + SC as a witness."""
     _built(sub)
-    return Certificate(
-        status="holds",
-        reason="e_j + S e_j is a member for every symbol, so C + SC witnesses every C",
-    )
+    return DENSE
 
 
 def is_complete(sub: SubcategoryLattice) -> Certificate:
     """Completeness: the lattice holds the relations, so an angle with
     n - 1 member vertices forces the last one in by its Euler relation."""
     _built(sub)
-    return Certificate(
-        status="holds",
-        reason="lattice contains the relation lattice, so Euler relations close angles",
-    )
+    return COMPLETE
 
 
 @dataclass(frozen=True)

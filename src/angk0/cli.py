@@ -34,7 +34,7 @@ from .embeddings import Embedding, induced_hom, validate_embedding
 from .files import object_json
 from .k0 import equal_classes, k0, relation_lattice, witness_search
 from .lattices import is_surjective
-from .presentations import validate_presentation
+from .presentations import basis_object, validate_presentation
 from .tensor import validate_tensor, verify_tensor_correspondence
 
 EXIT_OK = 0
@@ -145,17 +145,17 @@ def cmd_k0(args):
     loaded = _load(args.path)
     p = loaded.presentation
     result = k0(p)
-    group = result.group
+    group, relations = result.group, result.relation_lattice
     factors = list(group.invariant_factors)
     classes = {
-        name: list(result.class_of([int(i == j) for j in range(p.rank)]).vec)
+        name: list(relations.reduce(basis_object(p.rank, i)))
         for i, name in enumerate(p.indec_names)
     }
     results = {
         "invariant_factors": factors,
         "free_rank": group.free_rank,
         "order": group.order(),
-        "relation_basis": result.relation_lattice.basis,
+        "relation_basis": relations.basis,
         "indecomposable_classes": classes,
     }
     lines = [
@@ -164,7 +164,7 @@ def cmd_k0(args):
         f"order: {group.order() if group.is_finite else 'infinite'}",
         "relation basis:",
     ]
-    lines.extend(f"  {list(r)}" for r in result.relation_lattice.basis)
+    lines.extend(f"  {list(r)}" for r in relations.basis)
     lines.append("classes of indecomposables:")
     lines.extend(f"  [{name}] = {classes[name]}" for name in p.indec_names)
     return {"presentation": files.digest(p, loaded.tensor)}, results, lines, EXIT_OK

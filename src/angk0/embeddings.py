@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import NotWellDefinedError
 from .k0 import euler_vector, k0
 from .lattices import GroupHom, IntMatrix, apply_matrix, is_surjective
-from .presentations import Presentation
+from .presentations import Presentation, ViolationReport
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class Embedding:
     images: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
 def _iterate(images, x: int, power: int) -> int:
     # images applied power times to x: the walk from x enters a cycle within
     # len(images) steps, and the power reduces modulo the cycle's length.
@@ -57,7 +48,7 @@ def _iterate(images, x: int, power: int) -> int:
     return x
 
 
-def validate_embedding(e: Embedding) -> EmbeddingReport:
+def validate_embedding(e: Embedding) -> ViolationReport:
     """Check injectivity and the suspension intertwining.
 
     Hom-vanishing conditions live at the morphism level and are out of
@@ -68,10 +59,10 @@ def validate_embedding(e: Embedding) -> EmbeddingReport:
         violations.append(f"target arity must be 3, found {e.target.n}")
     if len(e.images) != e.domain.rank:
         violations.append("image list length does not match domain symbol count")
-        return EmbeddingReport(tuple(violations))
+        return ViolationReport(tuple(violations))
     if any(not 0 <= i < e.target.rank for i in e.images):
         violations.append("image index out of range")
-        return EmbeddingReport(tuple(violations))
+        return ViolationReport(tuple(violations))
     if len(set(e.images)) != len(e.images):
         violations.append("not injective")
     power = e.domain.n - 2
@@ -82,7 +73,7 @@ def validate_embedding(e: Embedding) -> EmbeddingReport:
             violations.append(
                 f"suspension intertwining fails at {e.domain.indec_names[x]}"
             )
-    return EmbeddingReport(tuple(violations))
+    return ViolationReport(tuple(violations))
 
 
 def embedding_matrix(e: Embedding) -> IntMatrix:

@@ -201,9 +201,6 @@ def parse_document(doc) -> LoadedDocument:
                 )
                 continue
             pair = (index[left], index[right])
-            if pair in seen_pairs:
-                violations.append(f"tensor.table key {key!r}: duplicate pair")
-                continue
             seen_pairs.add(pair)
             obj = resolve_object(value, f"tensor.table[{key!r}]")
             if obj is not None:

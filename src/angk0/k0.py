@@ -50,10 +50,11 @@ def suspension_rows(p: Presentation) -> list[tuple[int, ...]]:
     """
     sign = 1 if p.n % 2 else -1
     rows = []
-    for j in range(p.rank):
-        e = basis_object(p.rank, j)
-        s = suspend_object(p, e)
-        rows.append(tuple(a + sign * b for a, b in zip(e, s)))
+    for j, s in enumerate(p.suspension.images):
+        row = [0] * p.rank
+        row[j] += 1
+        row[s] += sign  # a fixed point S j = j gets 1 + sign
+        rows.append(tuple(row))
     return rows
 
 
@@ -69,14 +70,14 @@ def relation_lattice(p: Presentation) -> Lattice:
 
 @dataclass(frozen=True)
 class K0Result:
-    """The computed Grothendieck group together with its class map."""
+    """The computed Grothendieck group; its relation lattice is the group's."""
 
     presentation: Presentation
-    relation_lattice: Lattice
     group: FgAbelianGroup
 
-    def class_of(self, v) -> GroupElement:
-        return class_of(self, v)
+    @property
+    def relation_lattice(self) -> Lattice:
+        return self.group.relations
 
     def element(self, vec) -> GroupElement:
         """Class of an arbitrary integer vector (lifts need not be objects)."""
@@ -84,8 +85,7 @@ class K0Result:
 
 
 def k0(p: Presentation) -> K0Result:
-    lattice = relation_lattice(p)
-    return K0Result(presentation=p, relation_lattice=lattice, group=FgAbelianGroup(lattice))
+    return K0Result(presentation=p, group=FgAbelianGroup(relation_lattice(p)))
 
 
 def class_of(k: K0Result, v) -> GroupElement:

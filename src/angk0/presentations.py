@@ -121,14 +121,20 @@ class Presentation:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ViolationReport:
+    """What a validator found wrong; valid when it found nothing."""
+
     violations: tuple[str, ...]
-    parity: str
-    classification_applies: bool
 
     @property
     def valid(self) -> bool:
         return not self.violations
+
+
+@dataclass(frozen=True)
+class ValidationReport(ViolationReport):
+    parity: str
+    classification_applies: bool
 
 
 def validate_presentation(p: Presentation) -> ValidationReport:

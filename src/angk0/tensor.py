@@ -17,6 +17,7 @@ from .lattices import GroupElement, Lattice, Subgroup, _join_closure
 from .presentations import (
     ObjectVec,
     Presentation,
+    ViolationReport,
     basis_object,
     object_vec,
     suspend_object,
@@ -91,16 +92,7 @@ def _tensor_escapes(t: TensorPresentation, lattice: Lattice):
                 yield i, row
 
 
-@dataclass(frozen=True)
-class TensorValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate_tensor(t: TensorPresentation, relations: Lattice) -> TensorValidationReport:
+def validate_tensor(t: TensorPresentation, relations: Lattice) -> ViolationReport:
     """Check the object-level tensor axioms.
 
     Symmetry, unit law, associativity on all indecomposable triples,
@@ -123,7 +115,7 @@ def validate_tensor(t: TensorPresentation, relations: Lattice) -> TensorValidati
                     f"symmetry: table({names[i]}, {names[j]}) != table({names[j]}, {names[i]})"
                 )
     if violations:
-        return TensorValidationReport(tuple(violations))
+        return ViolationReport(tuple(violations))
 
     for j in range(rank):
         e = basis_object(rank, j)
@@ -161,7 +153,7 @@ def validate_tensor(t: TensorPresentation, relations: Lattice) -> TensorValidati
             f"angle-compatibility: {names[i]} (x) relation row {list(row)} "
             "leaves the relation lattice"
         )
-    return TensorValidationReport(tuple(violations))
+    return ViolationReport(tuple(violations))
 
 
 class K0Ring:

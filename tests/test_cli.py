@@ -956,3 +956,79 @@ class TestGolden:
                 text_sha, json_sha, stderr, code = GOLDEN[case]
                 expected = (json_sha if as_json else text_sha, stderr, code)
                 assert run_golden(case, as_json, tmp_path, monkeypatch, capsys) == expected
+
+
+ERROR_FILES = {
+    # symmetric with a unit, but (a (x) b) (x) b = 0 while a (x) (b (x) b) = a
+    "assoc.json": dict(
+        G1, indecomposables=["u", "a", "b"], suspension={"u": "u", "a": "a", "b": "b"},
+        angles=[],
+        tensor={"unit": {"u": 1},
+                "table": {"u|u": {"u": 1}, "a|u": {"a": 1}, "b|u": {"b": 1},
+                          "a|a": {"a": 1}, "a|b": {}, "b|b": {"a": 1}}},
+    ),
+    # S swaps u and s, but s (x) s = s where S(u (x) s) = u asks for u
+    "susp.json": dict(
+        G1, indecomposables=["u", "s"], suspension={"u": "s", "s": "u"}, angles=[],
+        tensor={"unit": {"u": 1}, "table": {"u|u": {"u": 1}, "s|u": {"s": 1}, "s|s": {"s": 1}}},
+    ),
+    "susp_unknown.json": dict(G1, indecomposables=["a", "b"],
+                              suspension={"a": "zz", "b": "b"}, angles=[]),
+    "f2.json": F2,
+    "t.json": T_SWAP,
+    "c.json": C_SINGLE,
+    "empty.map": {},
+    "extra.map": {"c": "p", "zz": "q"},
+}
+
+ASSOC_TEXT = (
+    "  - associativity: (a (x) b) (x) b differs from a (x) (b (x) b)\n"
+    "  - associativity: (b (x) b) (x) a differs from b (x) (b (x) a)\n"
+)
+SUSP_TEXT = (
+    "  - suspension-compatibility: (S u) (x) s != S(u (x) s)\n"
+    "  - suspension-compatibility: (S s) (x) s != S(s (x) s)\n"
+    "  - angle-compatibility: s (x) relation row [1, 1] leaves the relation lattice\n"
+)
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# args -> (text stdout, sha256 of --json stdout, stderr, exit code); the
+# error messages no golden run reaches, recorded before ViolationReport.
+ERROR_RUNS = [
+    (["validate", "assoc.json"], "invalid:\n" + ASSOC_TEXT,
+     "ccd122464d5cdb7376e7482a2bf85f8c04ab17b64f12cd618ecfdc80ff327585", "", 2),
+    (["ring", "assoc.json"], "invalid tensor table:\n" + ASSOC_TEXT,
+     "1bf6b430cf2d5b8ddd147b896b7e94cb321315eef1025080998eaef025343fb4", "", 2),
+    (["validate", "susp.json"], "invalid:\n" + SUSP_TEXT,
+     "2ebccf16ccf36dc357c3859685289a6dafb6f5fa5d46b30d764d3eb37a097229", "", 2),
+    (["ring", "susp.json"], "invalid tensor table:\n" + SUSP_TEXT,
+     "3ca540edc2e17fcccc9219a95d1baab7d4b0b029d70066ca88acb0af5aa47686", "", 2),
+    (["witness", "f2.json", "--left", "{x", "--right", "{}"], "", EMPTY_SHA,
+     "error: object literal is not valid JSON: Expecting property name enclosed in double"
+     " quotes\n", 2),
+    (["witness", "f2.json", "--left", '{"x": "1"}', "--right", "{}"], "", EMPTY_SHA,
+     "error: object literal must map symbol names to integers\n", 2),
+    (["witness", "f2.json", "--left", '{"x": -1}', "--right", "{}"], "", EMPTY_SHA,
+     "error: multiplicity for 'x' must be nonnegative\n", 2),
+    (["hom", "t.json", "c.json", "empty.map"],
+     "invalid embedding:\n  - map: missing domain symbol 'c'\n",
+     "c997cc6434575a3b442449d0ec5cd41e89500434b71d290f0e955e78404c69e5", "", 2),
+    (["hom", "t.json", "c.json", "extra.map"],
+     "invalid embedding:\n  - map: unknown domain symbol 'zz'\n",
+     "676926fb925c7ca52d7299146658a8451b9a1a0a692343cb8855c11bb62841e5", "", 2),
+    (["validate", "susp_unknown.json"], "invalid:\n  - suspension: unknown image symbol 'zz'\n",
+     "836867c1c63e2692fed42837fc1fd213a602324b14915dcab41a8fa0c91e0677", "", 2),
+]
+
+
+@pytest.mark.parametrize("args, text, json_sha, stderr, code", ERROR_RUNS,
+                         ids=[f"{run[0][0]}-{i}" for i, run in enumerate(ERROR_RUNS)])
+def test_error_messages(args, text, json_sha, stderr, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in ERROR_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    assert main(args + ["--text"]) == code
+    assert capsys.readouterr() == (text, stderr)
+    assert main(args + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (json_sha, stderr)

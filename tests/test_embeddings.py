@@ -13,7 +13,7 @@ from angk0.embeddings import (
 from angk0.errors import NotWellDefinedError
 from angk0.k0 import euler_vector, k0, relation_lattice, suspension_rows
 from angk0.lattices import apply_matrix, is_surjective
-from angk0.presentations import Angle, Presentation, Suspension
+from angk0.presentations import Angle, Presentation, Suspension, ViolationReport
 
 
 def make(n, names, images, angles=()):
@@ -54,6 +54,27 @@ class TestValidate:
         c = make(4, ("x",), (0,))
         e = Embedding(domain=c, target=make(5, ("p",), (0,)), images=(0,))
         assert any("arity" in v for v in validate_embedding(e).violations)
+
+    def test_wrong_image_count(self):
+        e = Embedding(domain=C_FREE, target=T_SWAP, images=(0, 1))
+        report = validate_embedding(e)
+        assert type(report) is ViolationReport
+        assert not report.valid
+        assert report.violations == ("image list length does not match domain symbol count",)
+
+    def test_image_out_of_range(self):
+        e = Embedding(domain=C_FREE, target=T_SWAP, images=(2,))
+        report = validate_embedding(e)
+        assert type(report) is ViolationReport
+        assert not report.valid
+        assert report.violations == ("image index out of range",)
+
+    def test_induced_hom_refuses_an_invalid_embedding(self):
+        e = Embedding(domain=C_FREE, target=make(4, ("p",), (0,)), images=(1,))
+        with pytest.raises(ValueError) as exc:
+            induced_hom(e)
+        assert str(exc.value) == (
+            "invalid embedding: target arity must be 3, found 4; image index out of range")
 
 
 class TestInducedHom:

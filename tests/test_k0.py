@@ -1,10 +1,17 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from angk0 import files
+from angk0.cli import main
 from angk0.errors import WitnessBoundError
 from angk0.k0 import (
     WITNESS_LIMIT,
@@ -447,3 +454,41 @@ class TestWitnessOracle:
         check_witness(G2, (1,), (2001,), w)
         with pytest.raises(WitnessBoundError, match="self-witness"):
             witness_search(make(WITNESS_LIMIT + 1, 1), (1,), (1,))
+
+
+@st.composite
+def drawn_presentations(draw):
+    """Random or paired presentations at odd and even n; most suspensions
+    fix a symbol (every rank-1 draw, and every unpaired symbol)."""
+    make_p = draw(st.sampled_from((random_presentation, random_paired_presentation)))
+    n = draw(st.sampled_from((3, 4, 5, 6)))
+    p = make_p(random.Random(draw(st.integers(0, 2**32 - 1))), n=n)
+    fixed = any(i == s for i, s in enumerate(p.suspension.images))
+    event(f"{'odd' if n % 2 else 'even'} n, {'a' if fixed else 'no'} fixed symbol")
+    return p
+
+
+class TestRowsAndClassesByOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_presentations())
+    def test_suspension_rows_by_permuting(self, p):
+        # row j is e_j + (-1)^(n+1) S e_j, with S e_j from the suspension's apply
+        sign = (-1) ** (p.n + 1)
+        for j, row in enumerate(suspension_rows(p)):
+            e = basis_object(p.rank, j)
+            assert row == tuple(x + sign * y for x, y in zip(e, suspend_object(p, e)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_presentations())
+    def test_k0_report_classes(self, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            path.write_text(json.dumps(files.serialize(p)), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["k0", str(path), "--json"]) == 0
+        k = k0(p)
+        assert json.loads(out.getvalue())["results"]["indecomposable_classes"] == {
+            name: list(class_of(k, basis_object(p.rank, i)).vec)
+            for i, name in enumerate(p.indec_names)
+        }

@@ -6,6 +6,7 @@ from angk0.presentations import (
     Angle,
     Presentation,
     Suspension,
+    ViolationReport,
     basis_object,
     direct_sum_angle,
     object_vec,
@@ -53,6 +54,21 @@ class TestValidate:
         p = simple_presentation(angles=(Angle(((1, 0), (0, 1))),))
         report = validate_presentation(p)
         assert any("vertices" in v for v in report.violations)
+
+    def test_repeated_names(self):
+        p = Presentation(n=3, indec_names=("a", "a"), suspension=Suspension((0, 1)))
+        report = validate_presentation(p)
+        assert isinstance(report, ViolationReport)
+        assert not report.valid
+        assert report.violations == ("indecomposable names are not distinct",)
+        assert not report.classification_applies
+
+    def test_negative_multiplicity(self):
+        p = simple_presentation(angles=(Angle(((1, 0), (0, -1), (-1, 0))),))
+        report = validate_presentation(p)
+        assert not report.valid
+        # one violation per angle, however many vertices are negative
+        assert report.violations == ("angle 0 has a negative multiplicity",)
 
     def test_constructor_output_always_validates(self):
         rng = random.Random(23)

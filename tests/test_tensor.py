@@ -8,7 +8,13 @@ import angk0.tensor
 from angk0.errors import EvenNUnsupportedError, InvalidTensorError
 from angk0.k0 import k0, relation_lattice
 from angk0.lattices import enumerate_subgroups
-from angk0.presentations import Angle, Presentation, Suspension, basis_object
+from angk0.presentations import (
+    Angle,
+    Presentation,
+    Suspension,
+    ViolationReport,
+    basis_object,
+)
 from angk0.tensor import (
     TensorPresentation,
     _principal_rows,
@@ -53,6 +59,15 @@ def zero_ring_tensor():
 class TestValidate:
     def test_one_element_table(self):
         assert validate_tensor(f2_tensor(), relation_lattice(f2_tensor().base)).valid
+
+    def test_missing_pair(self):
+        # only (a, a) is listed: the checks past the table scan need every pair
+        t = TensorPresentation(make(3, 2), {(0, 0): (1, 0)}, (1, 0))
+        report = validate_tensor(t, relation_lattice(t.base))
+        assert type(report) is ViolationReport
+        assert not report.valid
+        assert report.violations == ("missing-entry: no product for (a, b)",
+                                     "missing-entry: no product for (b, b)")
 
     def test_asymmetric_table(self):
         t = TensorPresentation(
