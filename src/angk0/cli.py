@@ -256,6 +256,7 @@ def cmd_ring(args):
         f"unit class: {list(r.unit_class.vec)}",
         f"ideals: {report.ideal_count}",
     ]
+    cert_json = functools.cache(_cert_json)  # one node per certificate
     for idx, entry in enumerate(report.entries):
         preimage = entry.ideal.subgroup.preimage
         ideal_order, full = entry.ideal.subgroup.order(), preimage.is_full()
@@ -269,8 +270,8 @@ def cmd_ring(args):
                 # enumerated ideals are joins of principal ideals, and
                 # their prime flag is the object-pair prime property.
                 "tensor_closed": True,
-                "dense": _cert_json(entry.dense),
-                "complete": _cert_json(entry.complete),
+                "dense": cert_json(entry.dense),
+                "complete": cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
                 "object_prime": entry.ideal.prime,
                 "verified": entry.verified,

@@ -7,13 +7,18 @@ inputs, so no fixed-width shortcuts are taken anywhere.
 
 The row Hermite form serves both normal forms: the Smith form alternates it
 on rows and on columns.  It has two passes.  The plain elimination carries
-companion matrices on request; the public `hermite_normal_form` and
-`smith_normal_form`, `Lattice.join` and lattices of rank below r use it.
-The modular pass works mod a known multiple D of the index of a full-rank
-lattice, so no entry outgrows D: `Lattice` takes D from the gcd of the
-r x r minors that Bareiss elimination leaves, and `FgAbelianGroup` runs
-both Smith passes of a finite group mod its order (a cyclic one needs no
-Smith loop at all).
+companion matrices on request.  It serves only the public
+`hermite_normal_form` and `smith_normal_form`, the Smith form of an
+infinite group, and the joins (`Lattice.join`, the join closure, the prime
+test), whose rows are a Hermite basis plus a few more.  The
+modular pass works mod a known multiple D of the index of a full-rank
+lattice, so no entry outgrows D.  Every other `Lattice`, of any shape and
+rank, takes one Bareiss elimination with a column profile, which gives D;
+a Schur-complement step mod D leaves the modular pass only the trailing
+columns whose pivots are not units, and the pivotless columns are lifted
+exactly from the Bareiss rows.  `FgAbelianGroup` drops the unit pivots of
+its Hermite basis, which split off, and runs the Smith form on the block
+left, mod the group order when the group is finite.
 """
 
 from __future__ import annotations
@@ -222,41 +227,50 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(a, cols=m.cols), IntMatrix(u, cols=m.rows), IntMatrix(v, cols=m.cols)
 
 
-def _bareiss(a, cols):
-    # Fraction-free elimination, in place, of the first cols - 1 columns of
-    # the rows a (len(a) >= cols >= 1).  By Sylvester's identity
-    # a[i][cols - 1] for i >= cols - 1 ends as a cols x cols minor of the
-    # input, taken on rows 0..cols-2 and row i.  Returns the sign of the row
-    # permutation, or 0 when some column has no pivot, which happens exactly
-    # when the rows have rank below cols.  A pivot of the previous pivot's
-    # size is preferred: rows with a zero in the pivot column then keep their
-    # entries up to sign, and on sparse rows most of them do.
-    sign, prev = 1, 1
-    for t in range(cols - 1):
+def _bareiss(a, cols, rows=None):
+    # Fraction-free elimination, in place, of the rows a, skipping each column
+    # with no pivot; rows, when given, is permuted alongside a.  Returns the
+    # pivot columns P and the sign of the row permutation.  By Sylvester's
+    # identity row t ends holding (t+1) x (t+1) minors of the permuted input:
+    # right of its pivot, a[t][c] is taken on rows 0..t and columns P[0..t-1]
+    # and c, so a[t][P[t]] is the leading minor on P.  Column P[-1] keeps,
+    # in every row from len(P) - 1 down, the minor on rows 0..len(P)-2, that
+    # row and columns P.  Left of a row's pivot, pivotless columns hold 0 and
+    # pivot columns stale values.  A pivot of the previous pivot's size is
+    # preferred: rows with a zero in the pivot column then keep their entries
+    # up to sign, and on sparse rows most of them do.
+    sign, prev, piv = 1, 1, []
+    for c in range(cols):
+        t = len(piv)
+        if t == len(a):
+            break
         p = None
         for i in range(t, len(a)):
-            x = a[i][t]
+            x = a[i][c]
             if x == prev or x == -prev:
                 p = i
                 break
             if x and p is None:
                 p = i
         if p is None:
-            return 0
+            continue
         if p != t:
             a[t], a[p] = a[p], a[t]
+            if rows is not None:
+                rows[t], rows[p] = rows[p], rows[t]
             sign = -sign
-        pivot, head = a[t][t], a[t][t + 1 :]
+        pivot, head = a[t][c], a[t][c + 1 :]
         for row in a[t + 1 :]:
-            x = row[t]
+            x = row[c]
             if x:
-                row[t + 1 :] = [(y * pivot - x * z) // prev for y, z in zip(row[t + 1 :], head)]
+                row[c + 1 :] = [(y * pivot - x * z) // prev for y, z in zip(row[c + 1 :], head)]
             elif pivot == -prev:
-                row[t + 1 :] = [-y for y in row[t + 1 :]]
+                row[c + 1 :] = [-y for y in row[c + 1 :]]
             elif pivot != prev:
-                row[t + 1 :] = [y * pivot // prev for y in row[t + 1 :]]
+                row[c + 1 :] = [y * pivot // prev for y in row[c + 1 :]]
         prev = pivot
-    return sign
+        piv.append(c)
+    return piv, sign
 
 
 def determinant(m: IntMatrix) -> int:
@@ -266,21 +280,97 @@ def determinant(m: IntMatrix) -> int:
     if m.rows == 0:
         return 1
     a = [list(row) for row in m.entries]
-    return _bareiss(a, m.cols) * a[-1][-1]
+    piv, sign = _bareiss(a, m.cols)
+    return sign * a[-1][-1] if len(piv) == m.cols else 0
 
 
-def _minor_gcd(rows, cols) -> int:
-    # A positive multiple of [Z^cols : L] for the row span L of rows when L
-    # has full rank, else 0: the gcd of the cols x cols minors that Bareiss
-    # elimination leaves in the last column.
-    a = [list(row) for row in rows if any(row)]
-    if len(a) < cols:
-        return 0
-    if cols == 0:
-        return 1
-    if not _bareiss(a, cols):
-        return 0
-    return math.gcd(*(row[-1] for row in a[cols - 1 :]))
+def _adjugate_solve(a, piv, j, cols):
+    # adj(A11) @ A12 and det(A11), for A11 the leading j x j block on the
+    # pivot columns of the rows that _bareiss left in a, and A12 the same
+    # rows on cols.  Back-substitution on the Bareiss rows 0..j-1, scaled by
+    # det(A11) = a[j-1][piv[j-1]]: x_i = (det * a[i][c] - sum over l > i of
+    # a[i][piv[l]] * x_l) / a[i][piv[i]], an exact quotient by Cramer's rule.
+    if not j:
+        return [], 1
+    det = a[j - 1][piv[j - 1]]
+    x = [None] * (j - 1) + [[a[j - 1][c] for c in cols]]
+    for i in range(j - 2, -1, -1):
+        row = a[i]
+        acc = [det * row[c] for c in cols]
+        for l in range(i + 1, j):
+            e = row[piv[l]]
+            if e:
+                acc = [u - e * v for u, v in zip(acc, x[l])]
+        p = row[piv[i]]
+        x[i] = [u // p for u in acc]
+    return x, det
+
+
+def _hermite_basis(rows, cols):
+    # The Hermite basis of the row span L of rows (int tuples of length
+    # cols), in three steps (Pernet and Stein, J. Number Theory 130, 2010).
+    # 1. Bareiss with a column profile gives the pivot columns P, k = |P|,
+    #    and D, the gcd of the k x k minors on P that it leaves in column
+    #    P[-1].  Projecting onto P is one-to-one on L, and D is a multiple of
+    #    the index of the image L_P in Z^k.
+    # 2. Split the permuted rows at the largest j <= k whose leading minor on
+    #    P, det(A11), is prime to D.  Mod D, A11 is invertible, so L_P is
+    #    spanned by [I, X] and [0, S] with X = A11^-1 A12 and S = A22 - A21 X,
+    #    A21 and A22 taken from the input rows: L_P has unit pivots on its
+    #    first j columns, and the modular pass runs on S alone, whose lattice
+    #    has L_P's index.  The top rows are [I, X] reduced by S's basis.
+    #    j = k exactly when D = 1, and then L_P = Z^k.
+    # 3. Lift: every h in L is h_P T for T = E_P^-1 E_free, E the Bareiss
+    #    rows 0..k-1 on P and on the pivotless columns; det(E_P) T is
+    #    integral and comes from the same back-substitution as X.
+    orig = [row for row in rows if any(row)]
+    a = [list(row) for row in orig]
+    piv, _ = _bareiss(a, cols, orig)
+    k = len(piv)
+    if not k:
+        return []
+    d = math.gcd(*(row[piv[-1]] for row in a[k - 1 :]))
+    j = k
+    while j and math.gcd(a[j - 1][piv[j - 1]], d) != 1:
+        j -= 1
+    tail = piv[j:]
+    x, det = _adjugate_solve(a, piv, j, tail)
+    inv = pow(det, -1, d)
+    x = [[v * inv % d for v in row] for row in x]
+    schur = []
+    for row in orig[j:]:
+        acc = [row[c] for c in tail]
+        for c, v in zip(piv, x):
+            e = row[c]
+            if e:
+                acc = [y - e * z for y, z in zip(acc, v)]
+        schur.append(acc)
+    low = _hermite_mod(schur, k - j, d)
+    basis = []
+    for l, v in enumerate(x):
+        for n, h in enumerate(low):
+            q = v[n] // h[n]
+            if q:
+                v[n:] = [y - q * z for y, z in zip(v[n:], h[n:])]
+        basis.append([0] * l + [1] + [0] * (j - l - 1) + v)
+    basis += [[0] * j + h for h in low]
+    if k == cols:
+        return basis
+    pivots = set(piv)
+    free = [c for c in range(cols) if c not in pivots]
+    t, det = _adjugate_solve(a, piv, k, free)
+    where = [0] * cols
+    for i, c in enumerate(piv + free):
+        where[c] = i
+    lifted = []
+    for l, h in enumerate(basis):
+        acc = t[l] if l < j else [0] * len(free)
+        for y, w in zip(h[j:], t[j:]):
+            if y:
+                acc = [u + y * z for u, z in zip(acc, w)]
+        row = h + [u // det for u in acc]
+        lifted.append([row[i] for i in where])
+    return lifted
 
 
 def _hermite_mod(rows, cols, d):
@@ -438,14 +528,11 @@ class Lattice:
         # a few rows (`join`, the join closure, the prime test): they skip
         # validation, and the plain elimination finishes them faster than
         # Bareiss alone would run.
-        if not _plain:
-            rows = IntMatrix(rows, cols=ambient_rank).entries
-        a = [list(row) for row in rows]
-        d = 0 if _plain else _minor_gcd(a, ambient_rank)
-        if d:
-            a = _hermite_mod(a, ambient_rank, d)
-        else:
+        if _plain:
+            a = [list(row) for row in rows]
             _hermite_rows(a, ambient_rank)
+        else:
+            a = _hermite_basis(IntMatrix(rows, cols=ambient_rank).entries, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
 
@@ -534,14 +621,20 @@ class FgAbelianGroup:
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         """The invariant factors above 1, computed on each read."""
-        basis = self.relations.basis
-        order = self.order()
-        pivots = [row[i] for i, row in enumerate(basis) if row[i] > 1] if order else ()
-        if order and len(pivots) <= 1:
-            # Z^r / L is cyclic: every e_j with a unit pivot reduces to
-            # multiples of the one e_j whose pivot is above 1.
-            return tuple(pivots)
-        diag = _smith_diagonal([list(row) for row in basis], self.ambient_rank, det=order or 0)
+        # A unit pivot's column is zero in every other row of a Hermite
+        # basis, so its row and column split off and the Smith form runs on
+        # the rest; the group order is the determinant of that block.
+        rows, units, c = [], set(), 0
+        for row in self.relations.basis:
+            while not row[c]:
+                c += 1
+            if row[c] == 1:
+                units.add(c)
+            else:
+                rows.append(row)
+        cols = [c for c in range(self.ambient_rank) if c not in units]
+        a = [[row[c] for c in cols] for row in rows]
+        diag = _smith_diagonal(a, len(cols), det=self.order() or 0)
         return tuple(x for x in diag if x > 1)
 
     @property

@@ -482,8 +482,8 @@ class TestCallCounts:
         assert built.count(("p", "q")) == 1
 
     def test_k0_and_ring_run_one_smith_form(self, tmp_path, capsys, monkeypatch):
-        # G1 is Z/2 + Z/2 and the componentwise ring's group too, so neither
-        # is read off a cyclic basis; the text and JSON reports share one run.
+        # G1 is Z/2 + Z/2 and the componentwise ring's group too; the text
+        # and JSON reports share one Smith form.
         g1 = write(tmp_path, "g1.json", G1)
         comp = write(tmp_path, "comp.json", COMPONENTWISE)
         calls = count_calls(monkeypatch, "lattices", "_smith_diagonal")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from angk0.lattices import (
     subgroup_from_generators,
     xgcd,
 )
-from angk0.lattices import _hermite_mod, _minor_gcd
+from angk0.lattices import _bareiss, _hermite_mod
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
@@ -728,8 +729,17 @@ class TestModularHermite:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(relation_matrices(), full_rank_matrices(max_dim=6)))
     def test_minor_gcd(self, case):
+        # D, read where the Bareiss elimination leaves the minors on its
+        # pivot columns P, is a multiple of the index; the gcd of the
+        # cols x cols minors is 0 exactly when P misses a column.
         cols, rows = case
-        d = _minor_gcd(rows, cols)
+        piv, d, _ = bareiss_profile(rows, cols)
+        h = nonzero_rows(hermite_normal_form(IntMatrix(rows, cols=cols))[0])
+        assert piv == [next(j for j, x in enumerate(row) if x) for row in h]
+        assert len(piv) == sympy_rank(cols, rows)
+        projected_index = math.prod(row[j] for row, j in zip(h, piv))
+        assert d == 0 if not piv else d > 0 and d % projected_index == 0
+        d = d if len(piv) == cols else 0
         index = Lattice(cols, rows).index_in_ambient()
         assert (d == 0) == (sympy_rank(cols, rows) < cols)
         assert d == 0 if index is None else d > 0 and d % index == 0
@@ -738,7 +748,7 @@ class TestModularHermite:
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_determinant_matches_sympy(self, rows):
-        # determinant shares its Bareiss elimination with _minor_gcd
+        # determinant shares its Bareiss elimination with Lattice
         n = len(rows)
         expected = int(DomainMatrix(rows, (n, n), ZZ).det()) if n else 1
         assert determinant(IntMatrix(rows, cols=n)) == expected
@@ -772,3 +782,122 @@ class TestModularHermite:
         small = (2, 6, 5778)
         assert factors == small + (math.prod(row[i] for i, row in enumerate(rows))
                                    // math.prod(small),)
+
+
+def bareiss_profile(rows, cols):
+    """(P, D, minors) from the elimination Lattice runs (Lattice drops zero
+    rows first, which changes none of them): the pivot columns, the gcd of
+    the minors on P left in column P[-1] (0 when P is empty), and the
+    leading minors on P of the permuted rows, from 1 up to the k x k one."""
+    a = [list(row) for row in rows]
+    piv, _ = _bareiss(a, cols)
+    d = math.gcd(*(row[piv[-1]] for row in a[len(piv) - 1 :])) if piv else 0
+    return piv, d, [1] + [a[t][c] for t, c in enumerate(piv)]
+
+
+@st.composite
+def pipeline_matrices(draw, max_dim=7):
+    """(cols, rows): short, square and tall, of any rank: products of a
+    random m x k and k x cols factor, then maybe a zero column, a repeated
+    row or a zero row."""
+    cols = draw(st.integers(1, max_dim))
+    k = draw(st.integers(0, cols))
+    m = draw(st.integers(max(k, 1), max_dim + 3))
+    bound = draw(st.sampled_from([3, 2**40]))
+    entry = st.integers(-bound, bound)
+    left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    rows = [[sum(x * r[j] for x, r in zip(row, right)) for j in range(cols)] for row in left]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        rows = [row[:zero] + [0] + row[zero + 1 :] for row in rows]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    return cols, rows
+
+
+@st.composite
+def shared_prime_matrices(draw, max_dim=7):
+    """(cols, rows) whose first column is a nonzero multiple of p: p divides
+    every leading minor on the pivot columns and D, so no leading block is
+    invertible mod D and the modular pass runs on all pivot columns."""
+    cols, rows = draw(pipeline_matrices(max_dim))
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = [[p * row[0]] + row[1:] for row in rows]
+    rows.append([p * draw(st.integers(1, 3))] + draw(
+        st.lists(st.integers(-9, 9), min_size=cols - 1, max_size=cols - 1)))
+    return cols, rows
+
+
+@st.composite
+def unit_leading_block_matrices(draw, max_dim=7):
+    """(cols, rows): L U for L unit lower triangular and U upper triangular
+    with diagonal (1, ..., 1, d), d > 1, maybe with extra rows that are
+    multiples of d.  Every leading minor below the last is 1 and D = d, so
+    the modular pass runs on the last column alone."""
+    n = draw(st.integers(1, max_dim))
+    d = draw(st.integers(2, 10**6))
+    bound = draw(st.sampled_from([3, 2**40]))
+    upper = [[0] * i + [d if i == n - 1 else 1]
+             + draw(st.lists(st.integers(-bound, bound), min_size=n - i - 1, max_size=n - i - 1))
+             for i in range(n)]
+    rows = []
+    for i in range(n):
+        lower = draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i)) + [1]
+        rows.append([sum(x * upper[l][j] for l, x in enumerate(lower)) for j in range(n)])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([d * x for x in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))])
+    return n, rows
+
+
+class TestBareissSchurPipeline:
+    """Lattice(r, rows) runs one Bareiss elimination with a column profile,
+    a Schur-complement step mod D and an exact lift of the pivotless
+    columns; its basis must be the plain Hermite form, and the Smith form
+    on the non-unit block must give sympy's invariant factors."""
+
+    def check(self, cols, rows):
+        lattice = Lattice(cols, rows)
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=cols))
+        assert [list(r) for r in lattice.basis] == nonzero_rows(h)
+        group = FgAbelianGroup(lattice)
+        assert group.invariant_factors == (sympy_factors(rows) if rows else ())
+        assert group.free_rank == cols - sympy_rank(cols, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pipeline_matrices())
+    @example((3, [[0, 2, 4], [0, 1, 2]]))
+    @example((4, [[2, 4, 0, 6], [1, 2, 3, 3], [1, 2, 3, 3]]))
+    def test_any_shape_and_rank(self, case):
+        self.check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_prime_matrices())
+    def test_no_leading_block_prime_to_d(self, case):
+        cols, rows = case
+        _, d, minors = bareiss_profile(rows, cols)
+        assert all(math.gcd(x, d) > 1 for x in minors[1:])
+        self.check(cols, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_leading_block_matrices())
+    def test_modular_pass_on_the_last_column(self, case):
+        cols, rows = case
+        _, d, minors = bareiss_profile(rows, cols)
+        assert d > 1 and math.gcd(minors[-2], d) == 1
+        self.check(cols, rows)
+
+    @pytest.mark.parametrize("r", [48, 64])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_short_random_grows_gently(self, r, seed):
+        # (r - 2) x r, entries in [-3, 3]: the plain elimination did not
+        # finish r = 48 in 3 minutes.
+        rng = random.Random(seed)
+        rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r - 2)]
+        start = time.perf_counter()
+        lattice = Lattice(r, rows)
+        assert time.perf_counter() - start < 1.0
+        assert lattice.rank == sympy_rank(r, rows) == r - 2
+        assert FgAbelianGroup(lattice).free_rank == 2
