@@ -9,7 +9,7 @@ preimage, so subgroup -> subcategory -> subgroup is the identity.
 Both certificates follow from that construction, as in the odd-n form of
 Thomason's classification (Compositio Math. 105, 1997).  A preimage
 contains the relation lattice: the public `Subgroup` constructor checks
-it, and the enumeration joins onto the relations.  For odd n the
+it, and the enumeration lists lattices above the relations.  For odd n the
 relations hold e_j + S e_j, so each object C has the member C + SC
 (dense), and every Euler relation, so an angle with n - 1 member vertices
 has a member last vertex (complete).  Neither certificate runs a lattice

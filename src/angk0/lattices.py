@@ -9,8 +9,8 @@ The row Hermite form serves both normal forms: the Smith form alternates it
 on rows and on columns.  It has two passes.  The plain elimination carries
 companion matrices on request.  It serves only the public
 `hermite_normal_form` and `smith_normal_form`, the Smith form of an
-infinite group, and the joins (`Lattice.join`, the join closure, the prime
-test), whose rows are a Hermite basis plus a few more.  The
+infinite group, and the joins (`Lattice.join`, the ring's ideal closure,
+the prime test), whose rows are a Hermite basis plus a few more.  The
 modular pass works mod a known multiple D of the index of a full-rank
 lattice, so no entry outgrows D.  Every other `Lattice`, of any shape and
 rank, takes one Bareiss elimination with a column profile, which gives D;
@@ -18,7 +18,8 @@ a Schur-complement step mod D leaves the modular pass only the trailing
 columns whose pivots are not units, and the pivotless columns are lifted
 exactly from the Bareiss rows.  `FgAbelianGroup` drops the unit pivots of
 its Hermite basis, which split off, and runs the Smith form on the block
-left, mod the group order when the group is finite.
+left, mod the group order when the group is finite.  `enumerate_subgroups`
+writes each subgroup's Hermite basis down and runs no elimination.
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ class Lattice:
     """An integer row span inside Z^r, stored by its canonical Hermite basis.
 
     Canonical storage makes equality of lattices equality of the stored
-    bases, which the enumeration's set of found lattices relies on.
+    bases, which the ideal closure's set of found lattices relies on.
     """
 
     __slots__ = ("ambient_rank", "basis")
@@ -535,6 +536,13 @@ class Lattice:
             a = _hermite_basis(IntMatrix(rows, cols=ambient_rank).entries, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
+
+    @classmethod
+    def _from_hermite(cls, ambient_rank: int, basis) -> "Lattice":
+        # basis is a Hermite basis of int tuples (`enumerate_subgroups`)
+        lat = object.__new__(cls)
+        lat.ambient_rank, lat.basis = ambient_rank, basis
+        return lat
 
     @property
     def rank(self) -> int:
@@ -724,7 +732,7 @@ class Subgroup:
 
     @classmethod
     def _above_relations(cls, group: FgAbelianGroup, preimage: Lattice) -> "Subgroup":
-        # preimage is a join onto group.relations: skip the containment test
+        # preimage holds group.relations by construction: skip the test
         sub = object.__new__(cls)
         sub.group, sub.preimage = group, preimage
         return sub
@@ -769,10 +777,10 @@ def subgroup_from_generators(group: FgAbelianGroup, gens) -> Subgroup:
 
 def _join_closure(group: FgAbelianGroup, rows_of) -> list[Subgroup]:
     # Close a finite group's relations under joins with rows_of(v) for each
-    # nonzero coset rep v.  rows_of(v) spans v's cyclic subgroup or principal
-    # ideal, whose join with a found lattice depends only on v's coset.  It
-    # returns a tuple of int tuples of length r, so the joins skip `join`'s
-    # row check.
+    # nonzero coset rep v: v's principal ideal for the ring, or (v,) as the
+    # tests' oracle for `enumerate_subgroups`.  The join with a found lattice
+    # depends only on v's coset.  rows_of returns int tuples of length r, so
+    # the joins skip `join`'s row check.
     r = group.ambient_rank
     found, pending = {group.relations}, [group.relations]
     while pending:
@@ -788,14 +796,56 @@ def _join_closure(group: FgAbelianGroup, rows_of) -> list[Subgroup]:
 def enumerate_subgroups(group: FgAbelianGroup) -> list[Subgroup]:
     """Every subgroup of a finite group, in lexicographic basis order.
 
-    Subgroups correspond to the lattices between the relation lattice and
-    Z^r.  Each is generated over the relations by finitely many elements, so
-    closing the relation lattice under joins with one coset rep at a time
-    reaches all.
+    Subgroups correspond to the lattices M between the relation lattice L
+    and Z^r.  Each M is written down as its Hermite basis, bottom row first
+    (Cohen, GTM 138, 2.4.3): row i has a pivot h dividing L_ii, and L lies
+    in M exactly when (L_ii / h) M_i - L_i lies in the span of the rows
+    below, so each entry x_j in [0, M_jj) right of the pivot solves
+    (L_ii / h) x_j + w_j = 0 mod M_jj, w being -L_i less the multiples of the
+    rows below taken so far.  A unit pivot of L leaves one choice, L_i
+    reduced by M: the search runs on the other rows, which are written first.
     """
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration requires a finite group")
-    return _join_closure(group, lambda v: (v,))
+    r, rel = group.ambient_rank, group.relations.basis
+    block = [i for i in range(r) if rel[i][i] != 1]
+    units = [(i, row) for i, row in enumerate(rel) if row[i] == 1]
+    rows, found = [None] * len(block), []
+
+    def search(b):
+        # Rows b+1.. of the block are chosen: choose row b, or write M out.
+        if b < 0:
+            full = list(rows)
+            for i, v in units:
+                for col, row in zip(block, rows):
+                    q = v[col] // row[col]
+                    if q:
+                        v = tuple([a - q * y for a, y in zip(v, row)])
+                full.insert(i, v)
+            found.append(tuple(full))
+            return
+        i, lii = block[b], rel[block[b]][block[b]]
+        for c in [c for c in range(1, lii + 1) if lii % c == 0]:
+            partial = [((0,) * i + (lii // c,) + (0,) * (r - i - 1), [-a for a in rel[i]])]
+            for col, below in zip(block[b + 1:], rows[b + 1:]):
+                m = below[col]
+                g = math.gcd(c, m)
+                step = m // g
+                inv = pow(c // g, -1, step)
+                nxt = []
+                for x, w in partial:
+                    if w[col] % g == 0:
+                        for t in range(-w[col] // g * inv % step, m, step):
+                            q = (c * t + w[col]) // m
+                            y = [a - q * z for a, z in zip(w, below)]
+                            nxt.append((x[:col] + (t,) + x[col + 1:], y))
+                partial = nxt
+            for rows[b], _ in partial:
+                search(b - 1)
+
+    search(len(block) - 1)
+    return [Subgroup._above_relations(group, Lattice._from_hermite(r, basis))
+            for basis in sorted(found)]
 
 
 class GroupHom:

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,7 +19,13 @@ from angk0.classify import (
 )
 from angk0.errors import EvenNUnsupportedError, InfiniteGroupError
 from angk0.k0 import equal_classes, k0, object_for_element
-from angk0.lattices import Lattice, Subgroup, enumerate_subgroups, subgroup_from_generators
+from angk0.lattices import (
+    FgAbelianGroup,
+    Lattice,
+    Subgroup,
+    enumerate_subgroups,
+    subgroup_from_generators,
+)
 from angk0.presentations import Angle, Presentation, Suspension, basis_object
 from angk0.tensor import verify_tensor_correspondence
 from support import (
@@ -374,9 +382,30 @@ def gaussian_binomial_sum(k, q):
     return total
 
 
+def perfbench_oracle(monkeypatch):
+    """perfbench/oracle.py, which imports its sibling corpus.py."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", perfbench / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestClosedFormCounts:
     """Subgroup counts of the enumeration against closed forms, independent
     of the subset oracle in support.py."""
+
+    @pytest.mark.parametrize("factors, count", [
+        ((2,) * 6, 2825), ((2,) * 7, 29212), ((3,) * 4, 212), ((4,) * 3, 129),
+        ((3, 9, 27), 202), ((2, 4, 8, 16), 2821)])
+    def test_enumeration_counts(self, monkeypatch, factors, count):
+        # Birkhoff's counts, as perfbench's oracle computes them; counts
+        # only, no timing
+        assert perfbench_oracle(monkeypatch).subgroup_count(factors) == count
+        r = len(factors)
+        rows = [[d * (i == j) for j in range(r)] for i, d in enumerate(factors)]
+        assert len(enumerate_subgroups(FgAbelianGroup(Lattice(r, rows)))) == count
 
     @pytest.mark.parametrize("k, count", [(1, 2), (2, 5), (3, 16), (4, 67), (5, 374)])
     def test_elementary_abelian(self, k, count):

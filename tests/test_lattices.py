@@ -23,7 +23,8 @@ from angk0.lattices import (
     subgroup_from_generators,
     xgcd,
 )
-from angk0.lattices import _bareiss, _hermite_mod
+import angk0.lattices
+from angk0.lattices import _bareiss, _hermite_mod, _join_closure
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
@@ -557,6 +558,77 @@ class TestEnumerationCanonical:
         for s in enumerate_subgroups(group):
             assert s.order() == sum(s.contains(x) for x in elements)
             assert group.order() % s.order() == 0
+
+
+@st.composite
+def enumerable_groups(draw):
+    """Z^r / L with r <= 6 and order <= 256: a triangular basis whose pivots
+    multiply to at most 256, units among them, with entries in [-7, 7] right
+    of the pivots and its columns permuted, plus one dependent row."""
+    r = draw(st.integers(1, 6))
+    budget, rows = 256, []
+    for i in range(r):
+        d = draw(st.integers(1, min(budget, 16)))
+        budget //= d
+        tail = draw(st.lists(st.integers(-7, 7), min_size=r - i - 1, max_size=r - i - 1))
+        rows.append([0] * i + [d] + tail)
+    perm = draw(st.permutations(range(r)))
+    rows = [[row[j] for j in perm] for row in rows]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    rows.append(combination(coeffs, rows, r))
+    return FgAbelianGroup(Lattice(r, rows))
+
+
+def diagonal_group(*factors):
+    r = len(factors)
+    return FgAbelianGroup(Lattice(r, [[d * (i == j) for j in range(r)] for i, d in enumerate(factors)]))
+
+
+def z2_on(r):
+    """Z/2 on r symbols: e_i = e_(i+1) and 2 e_(r-1) = 0, one pivot 2 and
+    r - 1 unit pivots."""
+    rows = [[(j == i) - (j == i + 1) for j in range(r)] for i in range(r - 1)]
+    return FgAbelianGroup(Lattice(r, rows + [[2 * (j == r - 1) for j in range(r)]]))
+
+
+class TestEnumerationOracle:
+    """enumerate_subgroups writes each preimage down as a Hermite basis
+    above the relations; the join closure with one coset rep at a time,
+    which eliminates once per join, must list the same bases in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(enumerable_groups())
+    @example(FgAbelianGroup(Lattice(2, [(2, 1), (0, 6)])))
+    @example(diagonal_group(1, 4, 1, 6))
+    def test_same_bases_as_the_join_closure(self, group):
+        got = [s.preimage.basis for s in enumerate_subgroups(group)]
+        assert got == [s.preimage.basis for s in _join_closure(group, lambda v: (v,))]
+
+    @pytest.mark.parametrize("group", [diagonal_group(2, 2, 2, 2), diagonal_group(3, 9), z2_on(16)],
+                             ids=["z2^4", "z3xz9", "z2-on-16"])
+    def test_no_elimination(self, monkeypatch, group):
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("_bareiss", "_hermite_basis", "_hermite_mod", "_hermite_rows"):
+            monkeypatch.setattr(angk0.lattices, name, counted(name, getattr(angk0.lattices, name)))
+        monkeypatch.setattr(Lattice, "__init__", counted("Lattice", Lattice.__init__))
+        subs = enumerate_subgroups(group)
+        assert calls == []
+        monkeypatch.undo()
+        assert len(subs) == len(_join_closure(group, lambda v: (v,)))
+
+    def test_z2_on_400_symbols(self):
+        # 399 unit pivots split off: the search runs on one row
+        group = z2_on(400)
+        subs = enumerate_subgroups(group)
+        assert [s.preimage for s in subs] == [Lattice(400, [[int(i == j) for j in range(400)]
+                                                            for i in range(400)]), group.relations]
 
 
 def assert_smith_form(cols, rows):
