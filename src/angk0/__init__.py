@@ -5,6 +5,7 @@ from .errors import (
     AngK0Error,
     EvenNUnsupportedError,
     InfiniteGroupError,
+    InvalidEmbeddingError,
     InvalidTensorError,
     NotWellDefinedError,
     WitnessBoundError,

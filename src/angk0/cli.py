@@ -26,11 +26,12 @@ from .classify import verify_correspondence
 from .errors import (
     EvenNUnsupportedError,
     InfiniteGroupError,
+    InvalidEmbeddingError,
     InvalidTensorError,
     NotWellDefinedError,
     WitnessBoundError,
 )
-from .embeddings import Embedding, induced_hom, validate_embedding
+from .embeddings import Embedding, induced_hom
 from .files import object_json
 from .k0 import equal_classes, k0, relation_lattice, witness_search
 from .lattices import is_surjective
@@ -130,7 +131,7 @@ def cmd_validate(args):
     }
     digests = {}
     if loaded.presentation is not None and not violations:
-        digests["presentation"] = files.digest(loaded.presentation, loaded.tensor)
+        digests["presentation"] = files.digest(loaded)
     lines = []
     if violations:
         lines.append("invalid:")
@@ -167,13 +168,13 @@ def cmd_k0(args):
     lines.extend(f"  {list(r)}" for r in relations.basis)
     lines.append("classes of indecomposables:")
     lines.extend(f"  [{name}] = {classes[name]}" for name in p.indec_names)
-    return {"presentation": files.digest(p, loaded.tensor)}, results, lines, EXIT_OK
+    return {"presentation": files.digest(loaded)}, results, lines, EXIT_OK
 
 
 def cmd_classify(args):
     loaded = _load(args.path)
     p = loaded.presentation
-    digests = {"presentation": files.digest(p, loaded.tensor)}
+    digests = {"presentation": files.digest(loaded)}
     if p.n % 2 == 0:
         raise refuse("EvenNUnsupported", digests)
     result = k0(p)
@@ -234,7 +235,7 @@ def cmd_ring(args):
     if not loaded.has_tensor_block:
         raise _Stop({}, {"valid": False, "violations": ["missing tensor block"]},
                     ["invalid: missing tensor block"], EXIT_VALIDATION)
-    digests = {"presentation": files.digest(p, loaded.tensor)}
+    digests = {"presentation": files.digest(loaded)}
     # Checked in report order: the table, then n, then finiteness.
     try:
         report = verify_tensor_correspondence(loaded.tensor)
@@ -297,8 +298,8 @@ def cmd_ring(args):
 
 
 def cmd_hom(args):
-    t_pres = _load(args.t_path).presentation
-    c_pres = _load(args.c_path).presentation
+    t_loaded, c_loaded = _load(args.t_path), _load(args.c_path)
+    t_pres, c_pres = t_loaded.presentation, c_loaded.presentation
     try:
         mapping = files.read_json(args.map_path)
     except files.ParseError as exc:
@@ -311,8 +312,8 @@ def cmd_hom(args):
         raise _error("map file must be a string-to-string object", EXIT_PARSE)
 
     digests = {
-        "target": files.digest(t_pres),
-        "domain": files.digest(c_pres),
+        "target": files.digest(t_loaded, with_tensor=False),
+        "domain": files.digest(c_loaded, with_tensor=False),
     }
     violations = []
     images = []
@@ -326,14 +327,13 @@ def cmd_hom(args):
     for name in mapping:
         if name not in c_pres.indec_names:
             violations.append(f"map: unknown domain symbol {name!r}")
-    if not violations:
-        embedding = Embedding(domain=c_pres, target=t_pres, images=tuple(images))
-        violations.extend(validate_embedding(embedding).violations)
     if violations:
         raise invalid("invalid embedding:", violations, digests)
 
     try:
-        hom = induced_hom(embedding)
+        hom = induced_hom(Embedding(domain=c_pres, target=t_pres, images=tuple(images)))
+    except InvalidEmbeddingError as exc:
+        raise invalid("invalid embedding:", exc.violations, digests)
     except NotWellDefinedError as exc:
         results = {
             "well_defined": False,
@@ -374,7 +374,7 @@ def cmd_witness(args):
         right = files.parse_object_literal(args.right, p)
     except ValueError as exc:
         raise _error(exc, EXIT_VALIDATION)
-    digests = {"presentation": files.digest(p, loaded.tensor)}
+    digests = {"presentation": files.digest(loaded)}
     equal = equal_classes(relation_lattice(p), left, right)
     results = {
         "left": object_json(p.indec_names, left),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotWellDefinedError
+from .errors import InvalidEmbeddingError, NotWellDefinedError
 from .k0 import euler_vector, k0
 from .lattices import GroupHom, IntMatrix, apply_matrix, is_surjective
 from .presentations import Presentation, ViolationReport
@@ -90,15 +90,16 @@ def embedding_matrix(e: Embedding) -> IntMatrix:
 def induced_hom(e: Embedding) -> GroupHom:
     """The induced homomorphism on Grothendieck groups.
 
+    An invalid embedding raises InvalidEmbeddingError with the violations.
     The Euler vector of each listed domain angle must land in the target
     relation lattice; the first offender is reported as the witness.  The
     suspension rows need no test: the intertwining maps each to a sum of
     target suspension rows.  Together they span the domain relations, so
     the matrix then induces a well-defined hom.
     """
-    report = validate_embedding(e)
-    if not report.valid:
-        raise ValueError("invalid embedding: " + "; ".join(report.violations))
+    violations = validate_embedding(e).violations
+    if violations:
+        raise InvalidEmbeddingError("invalid embedding: " + "; ".join(violations), violations)
     matrix = embedding_matrix(e)
     target = k0(e.target)
     for idx, angle in enumerate(e.domain.angles):

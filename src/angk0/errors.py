@@ -25,12 +25,18 @@ class EvenNUnsupportedError(AngK0Error):
     """A classification construction was requested for even n."""
 
 
-class InvalidTensorError(AngK0Error):
-    """A tensor table failed validation; `violations` lists the reasons."""
-
+class _ViolationsError(AngK0Error):
     def __init__(self, message, violations=()):
         super().__init__(message)
         self.violations = tuple(violations)
+
+
+class InvalidTensorError(_ViolationsError):
+    """A tensor table failed validation; `violations` lists the reasons."""
+
+
+class InvalidEmbeddingError(_ViolationsError, ValueError):
+    """An embedding failed validation; `violations` lists the reasons."""
 
 
 class WitnessBoundError(AngK0Error):

@@ -12,6 +12,13 @@ Objects are sparse {symbol: positive multiplicity} maps; the empty map is
 the zero object.  Table keys join the two symbol names with "|", smaller
 name first, so no symbol name may contain "|".  Serialization is
 canonical, so digests and reports are byte-stable.
+
+A document's digest is the sha256 of the canonical JSON (sorted keys, no
+whitespace) of its grammar fields as decoded: any other key is dropped,
+"angles" defaults to [] and "tensor": null means no tensor block.  Parse
+refuses unknown or missing symbols, nonpositive multiplicities and missing
+or non-canonical table keys, so for an accepted document this JSON is byte
+for byte that of `serialize(presentation, tensor)`.
 """
 
 from __future__ import annotations
@@ -38,16 +45,18 @@ class LoadedDocument:
     presentation: Presentation | None
     tensor: TensorPresentation | None
     violations: tuple[str, ...]
-    has_tensor_block: bool
+    # the grammar's fields of the decoded JSON and no other key (the digest's
+    # input; see the module docstring)
+    fields: dict
+
+    @property
+    def has_tensor_block(self) -> bool:
+        return "tensor" in self.fields
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise ParseError(message)
-
-
-def _is_int(x) -> bool:
-    return type(x) is int
 
 
 def read_json(path: str):
@@ -84,15 +93,17 @@ def load_path(path: str) -> LoadedDocument:
 
 
 def parse_document(doc) -> LoadedDocument:
-    """Parse a decoded JSON document.
+    """Parse a decoded JSON document in one pass over it.
 
     Structural problems (wrong JSON types) raise ParseError; semantic
     problems that are representable (unknown symbols, bad multiplicities,
-    non-covering suspension) are returned as violations.
+    non-covering suspension) are returned as violations.  Each object is
+    type-checked while it is resolved, and a message is formatted only
+    when something is wrong.
     """
     _require(isinstance(doc, dict), "document: expected an object")
     _require("n" in doc, "field n: missing")
-    _require(_is_int(doc["n"]), "field n: expected an integer")
+    _require(type(doc["n"]) is int, "field n: expected an integer")
     _require("indecomposables" in doc, "field indecomposables: missing")
     indec = doc["indecomposables"]
     _require(
@@ -108,35 +119,7 @@ def parse_document(doc) -> LoadedDocument:
     )
     angles_raw = doc.get("angles", [])
     _require(isinstance(angles_raw, list), "field angles: expected a list")
-    for ai, angle in enumerate(angles_raw):
-        _require(isinstance(angle, list), f"field angles[{ai}]: expected a list")
-        for vi, vertex in enumerate(angle):
-            _require(
-                isinstance(vertex, dict)
-                and all(isinstance(k, str) and _is_int(v) for k, v in vertex.items()),
-                f"field angles[{ai}][{vi}]: expected a symbol-to-integer object",
-            )
-    tensor_raw = doc.get("tensor")
-    has_tensor = tensor_raw is not None
-    if has_tensor:
-        _require(isinstance(tensor_raw, dict), "field tensor: expected an object")
-        _require("unit" in tensor_raw, "field tensor.unit: missing")
-        _require("table" in tensor_raw, "field tensor.table: missing")
-        _require(
-            isinstance(tensor_raw["unit"], dict)
-            and all(
-                isinstance(k, str) and _is_int(v) for k, v in tensor_raw["unit"].items()
-            ),
-            "field tensor.unit: expected a symbol-to-integer object",
-        )
-        _require(isinstance(tensor_raw["table"], dict), "field tensor.table: expected an object")
-        for key, value in tensor_raw["table"].items():
-            _require(
-                isinstance(key, str)
-                and isinstance(value, dict)
-                and all(isinstance(k, str) and _is_int(v) for k, v in value.items()),
-                f"field tensor.table[{key!r}]: expected a symbol-to-integer object",
-            )
+    fields = {"n": doc["n"], "indecomposables": indec, "suspension": susp, "angles": angles_raw}
 
     violations: list[str] = []
     names = tuple(indec)
@@ -144,20 +127,29 @@ def parse_document(doc) -> LoadedDocument:
     if len(index) != len(names):
         violations.append("indecomposable names are not distinct")
     violations += [f"indecomposable name {x!r}: must not contain '|'" for x in names if "|" in x]
+    zero = (0,) * len(names)
 
-    def resolve_object(raw: dict, where: str) -> ObjectVec | None:
-        vec = [0] * len(names)
+    def resolve_object(raw, found: list, where: str, *at) -> ObjectVec | None:
+        # raw's vector, or None once its violations are appended to found;
+        # the place where.format(*at) is formatted only for a message
+        if not isinstance(raw, dict):
+            raise ParseError(f"field {where.format(*at)}: expected a symbol-to-integer object")
+        if not raw:
+            return zero
+        vec = list(zero)
         ok = True
         for name, mult in raw.items():
-            if name not in index:
-                violations.append(f"{where}: unknown symbol {name!r}")
-                ok = False
+            i = index.get(name)
+            if i is not None and type(mult) is int and mult > 0:
+                vec[i] = mult
                 continue
-            if mult < 1:
-                violations.append(f"{where}: multiplicity for {name!r} must be positive")
-                ok = False
-                continue
-            vec[index[name]] = mult
+            if not (isinstance(name, str) and type(mult) is int):
+                raise ParseError(f"field {where.format(*at)}: expected a symbol-to-integer object")
+            ok = False
+            if i is None:
+                found.append(f"{where.format(*at)}: unknown symbol {name!r}")
+            else:
+                found.append(f"{where.format(*at)}: multiplicity for {name!r} must be positive")
         return tuple(vec) if ok else None
 
     susp_images = [None] * len(names)
@@ -175,18 +167,29 @@ def parse_document(doc) -> LoadedDocument:
 
     angle_objs = []
     for ai, angle in enumerate(angles_raw):
-        vertices = []
-        for vi, vertex in enumerate(angle):
-            obj = resolve_object(vertex, f"angles[{ai}][{vi}]")
-            vertices.append(obj)
-        angle_objs.append(vertices)
+        if not isinstance(angle, list):
+            raise ParseError(f"field angles[{ai}]: expected a list")
+        angle_objs.append([
+            resolve_object(vertex, violations, "angles[{}][{}]", ai, vi)
+            for vi, vertex in enumerate(angle)
+        ])
 
-    tensor_table = {}
-    tensor_unit = None
-    if has_tensor:
-        tensor_unit = resolve_object(tensor_raw["unit"], "tensor.unit")
-        seen_pairs = set()
-        for key, value in tensor_raw["table"].items():
+    tensor_raw = doc.get("tensor")
+    if tensor_raw is not None:
+        _require(isinstance(tensor_raw, dict), "field tensor: expected an object")
+        _require("unit" in tensor_raw, "field tensor.unit: missing")
+        _require("table" in tensor_raw, "field tensor.table: missing")
+        unit_raw, table_raw = tensor_raw["unit"], tensor_raw["table"]
+        tensor_unit = resolve_object(unit_raw, violations, "tensor.unit")
+        _require(isinstance(table_raw, dict), "field tensor.table: expected an object")
+        fields["tensor"] = {"unit": unit_raw, "table": table_raw}
+        tensor_table, seen_pairs = {}, set()
+        for key, value in table_raw.items():
+            if not isinstance(key, str):
+                raise ParseError(f"field tensor.table[{key!r}]: expected a symbol-to-integer"
+                                 " object")
+            found = []  # kept only if the key is a valid table key
+            obj = resolve_object(value, found, "tensor.table[{!r}]", key)
             parts = key.split("|")
             if len(parts) != 2:
                 violations.append(f"tensor.table key {key!r}: expected 'x|y'")
@@ -196,13 +199,11 @@ def parse_document(doc) -> LoadedDocument:
                 violations.append(f"tensor.table key {key!r}: unknown symbol")
                 continue
             if table_key(left, right) != key:
-                violations.append(
-                    f"tensor.table key {key!r}: smaller name must come first"
-                )
+                violations.append(f"tensor.table key {key!r}: smaller name must come first")
                 continue
             pair = (index[left], index[right])
             seen_pairs.add(pair)
-            obj = resolve_object(value, f"tensor.table[{key!r}]")
+            violations += found
             if obj is not None:
                 tensor_table[pair] = obj
         for i in range(len(names)):
@@ -213,29 +214,17 @@ def parse_document(doc) -> LoadedDocument:
                         f"{names[i]!r}, {names[j]!r}"
                     )
 
-    if violations:
-        return LoadedDocument(
-            presentation=None,
-            tensor=None,
-            violations=tuple(violations),
-            has_tensor_block=has_tensor,
+    presentation = tensor = None
+    if not violations:
+        presentation = Presentation(
+            n=doc["n"],
+            indec_names=names,
+            suspension=Suspension(tuple(susp_images)),
+            angles=tuple(Angle(tuple(vs)) for vs in angle_objs),
         )
-
-    presentation = Presentation(
-        n=doc["n"],
-        indec_names=names,
-        suspension=Suspension(tuple(susp_images)),
-        angles=tuple(Angle(tuple(vs)) for vs in angle_objs),
-    )
-    tensor = None
-    if has_tensor:
-        tensor = TensorPresentation(presentation, tensor_table, tensor_unit)
-    return LoadedDocument(
-        presentation=presentation,
-        tensor=tensor,
-        violations=(),
-        has_tensor_block=has_tensor,
-    )
+        if "tensor" in fields:
+            tensor = TensorPresentation(presentation, tensor_table, tensor_unit)
+    return LoadedDocument(presentation, tensor, tuple(violations), fields)
 
 
 def object_json(names, vec) -> dict:
@@ -341,8 +330,11 @@ def _encode(x, newline: str, memo: dict) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def digest(p: Presentation, tensor: TensorPresentation | None = None) -> str:
-    return hashlib.sha256(canonical_json(serialize(p, tensor)).encode("utf-8")).hexdigest()
+def digest(loaded: LoadedDocument, with_tensor: bool = True) -> str:
+    """sha256 of the canonical JSON of a document's grammar fields, with its
+    tensor block unless with_tensor is false (see the module docstring)."""
+    fields = {key: value for key, value in loaded.fields.items() if with_tensor or key != "tensor"}
+    return hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()
 
 
 def parse_object_literal(text: str, p: Presentation) -> ObjectVec:
@@ -354,7 +346,7 @@ def parse_object_literal(text: str, p: Presentation) -> ObjectVec:
     except RecursionError:
         raise ValueError("object literal is nested too deeply") from None
     if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and _is_int(v) for k, v in raw.items()
+        isinstance(k, str) and type(v) is int for k, v in raw.items()
     ):
         raise ValueError("object literal must map symbol names to integers")
     vec = [0] * p.rank

@@ -13,6 +13,7 @@ one past WITNESS_LIMIT raises WitnessBoundError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import WitnessBoundError
 from .lattices import FgAbelianGroup, GroupElement, Lattice, reduced_solution
@@ -34,11 +35,11 @@ from .presentations import (
 
 def euler_vector(p: Presentation, a: Angle) -> tuple[int, ...]:
     """Alternating vertex sum A_1 - A_2 + ... + (-1)^(n+1) A_n."""
-    out = [0] * p.rank
-    for i, v in enumerate(a.vertices):
-        sign = 1 if i % 2 == 0 else -1
-        for j, x in enumerate(v):
-            out[j] += sign * x
+    vs = a.vertices
+    out = vs[0] if vs else (0,) * p.rank
+    for i in range(1, len(vs)):
+        # a tuple a step: one lazy map chain would nest n deep in C
+        out = tuple(map(sub if i % 2 else add, out, vs[i]))
     return tuple(out)
 
 

@@ -52,7 +52,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple([tuple(map(int, row)) for row in entries])
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -153,10 +153,8 @@ def validate_presentation(p: Presentation) -> ValidationReport:
             violations.append(
                 f"angle {idx} has {len(a.vertices)} vertices, expected {p.n}"
             )
-        for v in a.vertices:
-            if any(x < 0 for x in v):
-                violations.append(f"angle {idx} has a negative multiplicity")
-                break
+        if p.rank and a.vertices and min(map(min, a.vertices)) < 0:
+            violations.append(f"angle {idx} has a negative multiplicity")
     parity = "odd" if p.n % 2 else "even"
     return ValidationReport(
         violations=tuple(violations),

@@ -8,7 +8,9 @@ filtering every subgroup for tensor closure, prime flags from every pair
 of elements, witnesses from a scan that sums every multiset of pool
 angles vertex by vertex, and density, completeness and summand closure
 of a subcategory lattice from bounded searches over small objects and
-listed angles.
+listed angles.  `parse_document_two_pass` is the document parser as it
+was before it read each document in one pass: a type check of every
+field, then a second walk that resolves symbols.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
+from angk0.files import ParseError, table_key
 from angk0.k0 import AngleTerm, NotFound, Witness
 from angk0.presentations import (
     Angle,
+    ObjectVec,
     Presentation,
     Suspension,
     add_objects,
@@ -425,3 +430,178 @@ def random_valid_tensor(rng: random.Random, n=None):
     unit = object_vec([1] * rank)
     p = Presentation(n=n, indec_names=names, suspension=Suspension(tuple(range(rank))))
     return TensorPresentation(p, table, unit)
+
+
+@dataclass(frozen=True)
+class LoadedDocument:
+    """What the two-pass parser returned: `files.LoadedDocument` without the
+    decoded fields."""
+
+    presentation: Presentation | None
+    tensor: TensorPresentation | None
+    violations: tuple[str, ...]
+    has_tensor_block: bool
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise ParseError(message)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def parse_document_two_pass(doc) -> LoadedDocument:
+    """Parse a decoded JSON document.
+
+    Structural problems (wrong JSON types) raise ParseError; semantic
+    problems that are representable (unknown symbols, bad multiplicities,
+    non-covering suspension) are returned as violations.
+    """
+    _require(isinstance(doc, dict), "document: expected an object")
+    _require("n" in doc, "field n: missing")
+    _require(_is_int(doc["n"]), "field n: expected an integer")
+    _require("indecomposables" in doc, "field indecomposables: missing")
+    indec = doc["indecomposables"]
+    _require(
+        isinstance(indec, list) and all(isinstance(x, str) for x in indec),
+        "field indecomposables: expected a list of strings",
+    )
+    _require("suspension" in doc, "field suspension: missing")
+    susp = doc["suspension"]
+    _require(
+        isinstance(susp, dict)
+        and all(isinstance(k, str) and isinstance(v, str) for k, v in susp.items()),
+        "field suspension: expected a string-to-string object",
+    )
+    angles_raw = doc.get("angles", [])
+    _require(isinstance(angles_raw, list), "field angles: expected a list")
+    for ai, angle in enumerate(angles_raw):
+        _require(isinstance(angle, list), f"field angles[{ai}]: expected a list")
+        for vi, vertex in enumerate(angle):
+            _require(
+                isinstance(vertex, dict)
+                and all(isinstance(k, str) and _is_int(v) for k, v in vertex.items()),
+                f"field angles[{ai}][{vi}]: expected a symbol-to-integer object",
+            )
+    tensor_raw = doc.get("tensor")
+    has_tensor = tensor_raw is not None
+    if has_tensor:
+        _require(isinstance(tensor_raw, dict), "field tensor: expected an object")
+        _require("unit" in tensor_raw, "field tensor.unit: missing")
+        _require("table" in tensor_raw, "field tensor.table: missing")
+        _require(
+            isinstance(tensor_raw["unit"], dict)
+            and all(
+                isinstance(k, str) and _is_int(v) for k, v in tensor_raw["unit"].items()
+            ),
+            "field tensor.unit: expected a symbol-to-integer object",
+        )
+        _require(isinstance(tensor_raw["table"], dict), "field tensor.table: expected an object")
+        for key, value in tensor_raw["table"].items():
+            _require(
+                isinstance(key, str)
+                and isinstance(value, dict)
+                and all(isinstance(k, str) and _is_int(v) for k, v in value.items()),
+                f"field tensor.table[{key!r}]: expected a symbol-to-integer object",
+            )
+
+    violations: list[str] = []
+    names = tuple(indec)
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        violations.append("indecomposable names are not distinct")
+    violations += [f"indecomposable name {x!r}: must not contain '|'" for x in names if "|" in x]
+
+    def resolve_object(raw: dict, where: str) -> ObjectVec | None:
+        vec = [0] * len(names)
+        ok = True
+        for name, mult in raw.items():
+            if name not in index:
+                violations.append(f"{where}: unknown symbol {name!r}")
+                ok = False
+                continue
+            if mult < 1:
+                violations.append(f"{where}: multiplicity for {name!r} must be positive")
+                ok = False
+                continue
+            vec[index[name]] = mult
+        return tuple(vec) if ok else None
+
+    susp_images = [None] * len(names)
+    for key, value in susp.items():
+        if key not in index:
+            violations.append(f"suspension: unknown symbol {key!r}")
+            continue
+        if value not in index:
+            violations.append(f"suspension: unknown image symbol {value!r}")
+            continue
+        susp_images[index[key]] = index[value]
+    for name in names:
+        if susp_images[index[name]] is None and name not in susp:
+            violations.append(f"suspension: missing symbol {name!r}")
+
+    angle_objs = []
+    for ai, angle in enumerate(angles_raw):
+        vertices = []
+        for vi, vertex in enumerate(angle):
+            obj = resolve_object(vertex, f"angles[{ai}][{vi}]")
+            vertices.append(obj)
+        angle_objs.append(vertices)
+
+    tensor_table = {}
+    tensor_unit = None
+    if has_tensor:
+        tensor_unit = resolve_object(tensor_raw["unit"], "tensor.unit")
+        seen_pairs = set()
+        for key, value in tensor_raw["table"].items():
+            parts = key.split("|")
+            if len(parts) != 2:
+                violations.append(f"tensor.table key {key!r}: expected 'x|y'")
+                continue
+            left, right = parts
+            if left not in index or right not in index:
+                violations.append(f"tensor.table key {key!r}: unknown symbol")
+                continue
+            if table_key(left, right) != key:
+                violations.append(
+                    f"tensor.table key {key!r}: smaller name must come first"
+                )
+                continue
+            pair = (index[left], index[right])
+            seen_pairs.add(pair)
+            obj = resolve_object(value, f"tensor.table[{key!r}]")
+            if obj is not None:
+                tensor_table[pair] = obj
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                if (i, j) not in seen_pairs and (j, i) not in seen_pairs:
+                    violations.append(
+                        f"tensor.table: missing entry for "
+                        f"{names[i]!r}, {names[j]!r}"
+                    )
+
+    if violations:
+        return LoadedDocument(
+            presentation=None,
+            tensor=None,
+            violations=tuple(violations),
+            has_tensor_block=has_tensor,
+        )
+
+    presentation = Presentation(
+        n=doc["n"],
+        indec_names=names,
+        suspension=Suspension(tuple(susp_images)),
+        angles=tuple(Angle(tuple(vs)) for vs in angle_objs),
+    )
+    tensor = None
+    if has_tensor:
+        tensor = TensorPresentation(presentation, tensor_table, tensor_unit)
+    return LoadedDocument(
+        presentation=presentation,
+        tensor=tensor,
+        violations=(),
+        has_tensor_block=has_tensor,
+    )

@@ -481,6 +481,21 @@ class TestCallCounts:
         built = [p.indec_names for (p,) in lattices]
         assert built.count(("p", "q")) == 1
 
+    def test_no_command_serializes(self, tmp_path, capsys, monkeypatch):
+        # digests hash the decoded document; serialize is the library's round trip
+        g1, f2 = write(tmp_path, "g1.json", G1), write(tmp_path, "f2.json", F2)
+        comp = write(tmp_path, "comp.json", COMPONENTWISE)
+        t, c = write(tmp_path, "t.json", T_SWAP), write(tmp_path, "c.json", C_SINGLE)
+        m = write(tmp_path, "map.json", {"c": "p"})
+        calls = count_calls(monkeypatch, "files", "serialize")
+        for args in (["validate", comp], ["k0", g1], ["classify", g1], ["ring", comp],
+                     ["witness", f2, "--left", '{"x": 1}', "--right", '{"x": 3}'],
+                     ["hom", t, c, m]):
+            for output in ("--text", "--json"):
+                assert main(args + [output]) == 0
+                capsys.readouterr()
+        assert calls == []
+
     def test_k0_and_ring_run_one_smith_form(self, tmp_path, capsys, monkeypatch):
         # G1 is Z/2 + Z/2 and the componentwise ring's group too; the text
         # and JSON reports share one Smith form.
@@ -931,6 +946,18 @@ class TestGolden:
         assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
         assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
 
+    @pytest.mark.parametrize("case", [case for case in sorted(GOLDEN_RUNS)
+                                      if case.startswith("hom-")])
+    def test_hom_validates_the_embedding_once(self, case, tmp_path, monkeypatch, capsys):
+        # the other hom goldens stop at the files or the map, before an embedding
+        checked = case in ("hom-ok", "hom-not-surjective", "hom-not-well-defined")
+        calls = count_calls(monkeypatch, "embeddings", "validate_embedding")
+        text_sha, json_sha, stderr, code = GOLDEN[case]
+        assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
+        assert len(calls) == checked
+        assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
+        assert len(calls) == 2 * checked
+
     def test_shuffled_in_one_process(self, tmp_path, monkeypatch, capsys):
         # Every golden run twice per output mode, in one process and in shuffled
         # order, between usage errors and refused thread settings: the one
@@ -977,8 +1004,10 @@ ERROR_FILES = {
     "f2.json": F2,
     "t.json": T_SWAP,
     "c.json": C_SINGLE,
+    "c2.json": dict(T_SWAP, indecomposables=["a", "b"], suspension={"a": "a", "b": "b"}),
     "empty.map": {},
     "extra.map": {"c": "p", "zz": "q"},
+    "pp.map": {"a": "p", "b": "p"},
 }
 
 ASSOC_TEXT = (
@@ -1018,6 +1047,11 @@ ERROR_RUNS = [
      "676926fb925c7ca52d7299146658a8451b9a1a0a692343cb8855c11bb62841e5", "", 2),
     (["validate", "susp_unknown.json"], "invalid:\n  - suspension: unknown image symbol 'zz'\n",
      "836867c1c63e2692fed42837fc1fd213a602324b14915dcab41a8fa0c91e0677", "", 2),
+    # reported from the violations that induced_hom's InvalidEmbeddingError carries
+    (["hom", "t.json", "c2.json", "pp.map"],
+     "invalid embedding:\n  - not injective\n  - suspension intertwining fails at a\n"
+     "  - suspension intertwining fails at b\n",
+     "168b2bf19938fba41a99b26ab079c00925651626bf5a57e4abdf10036c3fa8be", "", 2),
 ]
 
 

@@ -10,7 +10,7 @@ from angk0.embeddings import (
     induced_hom,
     validate_embedding,
 )
-from angk0.errors import NotWellDefinedError
+from angk0.errors import InvalidEmbeddingError, NotWellDefinedError
 from angk0.k0 import euler_vector, k0, relation_lattice, suspension_rows
 from angk0.lattices import apply_matrix, is_surjective
 from angk0.presentations import Angle, Presentation, Suspension, ViolationReport
@@ -75,6 +75,8 @@ class TestValidate:
             induced_hom(e)
         assert str(exc.value) == (
             "invalid embedding: target arity must be 3, found 4; image index out of range")
+        assert isinstance(exc.value, InvalidEmbeddingError)
+        assert exc.value.violations == validate_embedding(e).violations
 
 
 class TestInducedHom:

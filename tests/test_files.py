@@ -1,10 +1,15 @@
+import contextlib
 import enum
 import gc
+import hashlib
+import io
 import itertools
 import json
+import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from angk0.files import (
     LoadedDocument,
@@ -17,9 +22,11 @@ from angk0.files import (
     report_json,
     serialize,
 )
+from angk0.cli import main
 from angk0.k0 import relation_lattice
 from angk0.presentations import Angle, Presentation, Suspension, validate_presentation
 from angk0.tensor import TensorPresentation, validate_tensor
+from support import parse_document_two_pass
 
 G1_DOC = {
     "n": 3,
@@ -125,8 +132,8 @@ class TestRoundTrip:
 
     def test_digest_stable(self):
         loaded = parse_document(G1_DOC)
-        assert digest(loaded.presentation) == digest(parse_document(G1_DOC).presentation)
-        assert len(digest(loaded.presentation)) == 64
+        assert digest(loaded) == digest(parse_document(G1_DOC))
+        assert len(digest(loaded)) == 64
 
     def test_canonical_json_sorted(self):
         loaded = parse_document(G1_DOC)
@@ -304,6 +311,115 @@ def test_parse_document_fuzz(doc):
         validate_presentation(loaded.presentation)
         if loaded.tensor is not None:
             validate_tensor(loaded.tensor, relation_lattice(loaded.presentation))
+
+
+EXTRA_KEYS = st.dictionaries(st.sampled_from(["comment", "version", "x"]), JSON_ANY, max_size=2)
+
+
+@st.composite
+def documents_with_extras(draw, documents=fuzzed_documents() | JSON_ANY):
+    """Documents with keys outside the grammar at the top level and in the
+    tensor block, and some with "tensor": null, no angles, or one more
+    field replaced by arbitrary JSON (so that two fields can be wrong)."""
+    doc = draw(documents)
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc, **draw(EXTRA_KEYS))
+    if isinstance(doc.get("tensor"), dict):
+        doc["tensor"] = dict(doc["tensor"], **draw(EXTRA_KEYS))
+    change = draw(st.sampled_from([None, None, "tensor-null", "no-angles", "spoil"]))
+    if change == "tensor-null":
+        doc["tensor"] = None
+    elif change == "no-angles":
+        doc.pop("angles", None)
+    elif change == "spoil":
+        doc[draw(st.sampled_from(["n", "indecomposables", "suspension", "angles", "tensor"]))] = (
+            draw(JSON_ANY))
+    return doc
+
+
+def parse_outcome(parse, doc):
+    """The ParseError message, or what a parse found: the violations, the
+    presentation, the tensor's data and has_tensor_block."""
+    try:
+        loaded = parse(doc)
+    except ParseError as exc:
+        return str(exc)
+    t = loaded.tensor
+    return (loaded.violations, loaded.presentation, loaded.has_tensor_block,
+            None if t is None else (t.base, t.table, t.unit))
+
+
+HEAD = {"n": 3, "indecomposables": ["a"], "suspension": {"a": "a"}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents_with_extras())
+# a shape error in the angles wins over one in the tensor block
+@example(dict(HEAD, angles=1, tensor=1))
+@example(dict(HEAD, angles=[7], tensor={"unit": {}}))
+@example(dict(HEAD, angles=[[{"a": "1"}]], tensor={"unit": [], "table": {}}))
+def test_one_pass_parse_matches_two_pass(doc):
+    assert parse_outcome(parse_document, doc) == parse_outcome(parse_document_two_pass, doc)
+
+
+def serialized_digest(p, tensor=None) -> str:
+    return hashlib.sha256(canonical_json(serialize(p, tensor)).encode("utf-8")).hexdigest()
+
+
+# serialize() of a presentation that validates unless a name is empty
+SERIALIZED = presentations_with_tensor().flatmap(
+    lambda case: st.sampled_from([serialize(*case), serialize(case[0])]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_with_extras() | documents_with_extras(SERIALIZED))
+def test_digest_hashes_the_grammar_fields(doc):
+    try:
+        loaded = parse_document(doc)
+    except ParseError:
+        return
+    fields = {key: doc[key] for key in ("n", "indecomposables", "suspension")}
+    fields["angles"] = doc.get("angles", [])
+    if doc.get("tensor") is not None:
+        fields["tensor"] = {key: doc["tensor"][key] for key in ("unit", "table")}
+    assert loaded.fields == fields
+    if loaded.violations:
+        return
+    p, t = loaded.presentation, loaded.tensor
+    assert digest(loaded) == serialized_digest(p, t)
+    assert digest(loaded, with_tensor=False) == serialized_digest(p)
+
+
+def printed_digests(argv) -> dict:
+    """The digest block of a --json report, or {} when nothing is printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(argv + ["--json"])
+    return json.loads(out.getvalue())["digest"] if out.getvalue() else {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents_with_extras() | documents_with_extras(SERIALIZED))
+def test_every_command_prints_the_serialized_digest(doc):
+    try:
+        loaded = parse_document(doc)
+    except ParseError:
+        return
+    if loaded.violations:
+        return
+    p, t = loaded.presentation, loaded.tensor
+    with tempfile.TemporaryDirectory() as tmp:
+        path, map_path = os.path.join(tmp, "p.json"), os.path.join(tmp, "id.map")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with open(map_path, "w", encoding="utf-8") as fh:
+            json.dump({name: name for name in p.indec_names}, fh)
+        for argv in (["validate", path], ["k0", path], ["classify", path, "--max-order", "64"],
+                     ["ring", path], ["witness", path, "--left", "{}", "--right", "{}"]):
+            assert set(printed_digests(argv).values()) <= {serialized_digest(p, t)}
+        hom = printed_digests(["hom", path, path, map_path])
+        assert set(hom.values()) <= {serialized_digest(p)}
 
 
 class TestLiterals:

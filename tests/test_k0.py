@@ -90,6 +90,29 @@ class TestEuler:
                 )
 
 
+@st.composite
+def angles_on_symbols(draw):
+    """A presentation with n = 3..8 and r = 0..6 symbols, and an angle on it."""
+    n, r = draw(st.integers(3, 8)), draw(st.integers(0, 6))
+    vertex = st.tuples(*[st.integers(0, 2**70)] * r)
+    return make(n, r), Angle(tuple(draw(st.lists(vertex, min_size=n, max_size=n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles_on_symbols())
+def test_euler_vector_is_the_alternating_vertex_sum(case):
+    p, a = case
+    assert euler_vector(p, a) == tuple(
+        sum((-1) ** i * v[j] for i, v in enumerate(a.vertices)) for j in range(p.rank))
+
+
+def test_euler_vector_of_a_long_angle():
+    # one vertex a step: nothing nests as deep as the angle is long
+    p = make(200_001, 2)
+    a = Angle(((1, 2),) * 200_001)
+    assert euler_vector(p, a) == (1, 2)
+
+
 class TestRelationLattice:
     def test_single_symbol_odd(self):
         lat = relation_lattice(G2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angk0.presentations import (
     Angle,
@@ -74,6 +75,29 @@ class TestValidate:
         rng = random.Random(23)
         for _ in range(50):
             assert validate_presentation(random_presentation(rng)).valid
+
+
+@st.composite
+def presentations_with_negatives(draw):
+    """n = 3..8, r = 0..6, up to three angles with entries in [-2, 3]; some
+    with one negative entry, at the end of the last vertex of the last angle."""
+    n, r = draw(st.integers(3, 8)), draw(st.integers(0, 6))
+    vertex = st.tuples(*[st.integers(-2, 3)] * r)
+    angles = draw(st.lists(st.lists(vertex, min_size=n, max_size=n), max_size=3))
+    if r and angles and draw(st.booleans()):
+        last = [tuple(map(abs, v)) for v in angles[-1]]
+        last[-1] = last[-1][:-1] + (-1,)
+        angles[-1] = last
+    return simple_presentation(n=n, rank=r, angles=tuple(Angle(tuple(a)) for a in angles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_negatives())
+def test_every_negative_entry_is_reported(p):
+    negative = [f"angle {i} has a negative multiplicity" for i, a in enumerate(p.angles)
+                if any(x < 0 for v in a.vertices for x in v)]
+    report = validate_presentation(p)
+    assert [v for v in report.violations if "negative" in v] == negative
 
 
 class TestSuspend:
