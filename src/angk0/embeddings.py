@@ -36,16 +36,12 @@ class Embedding:
 
 
 def _iterate(images, x: int, power: int) -> int:
-    # images applied power times to x: the walk from x enters a cycle within
-    # len(images) steps, and the power reduces modulo the cycle's length.
-    step_of = {}  # the walk so far, in order
-    while len(step_of) < power and x not in step_of:
-        step_of[x] = len(step_of)
-        x = images[x]
-    if len(step_of) < power:
-        walk, start = list(step_of), step_of[x]
-        x = walk[start + (power - start) % (len(walk) - start)]
-    return x
+    # The permutation images applied power times to x: the walk from x is a
+    # cycle, so the power reduces modulo its length.
+    cycle = [x]
+    while len(cycle) <= power and (y := images[cycle[-1]]) != x:
+        cycle.append(y)
+    return cycle[power % len(cycle)]
 
 
 def validate_embedding(e: Embedding) -> ViolationReport:

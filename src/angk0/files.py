@@ -16,9 +16,9 @@ canonical, so digests and reports are byte-stable.
 A document's digest is the sha256 of the canonical JSON (sorted keys, no
 whitespace) of its grammar fields as decoded: any other key is dropped,
 "angles" defaults to [] and "tensor": null means no tensor block.  Parse
-refuses unknown or missing symbols, nonpositive multiplicities and missing
-or non-canonical table keys, so for an accepted document this JSON is byte
-for byte that of `serialize(presentation, tensor)`.
+refuses unknown or missing symbols, a non-bijective suspension, nonpositive
+multiplicities and missing or non-canonical table keys, so for an accepted
+document this JSON is byte for byte that of `serialize(presentation, tensor)`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def parse_document(doc) -> LoadedDocument:
 
     Structural problems (wrong JSON types) raise ParseError; semantic
     problems that are representable (unknown symbols, bad multiplicities,
-    non-covering suspension) are returned as violations.  Each object is
+    a non-bijective suspension) are returned as violations.  Each object is
     type-checked while it is resolved, and a message is formatted only
     when something is wrong.
     """
@@ -164,6 +164,8 @@ def parse_document(doc) -> LoadedDocument:
     for name in names:
         if susp_images[index[name]] is None and name not in susp:
             violations.append(f"suspension: missing symbol {name!r}")
+    if None not in susp_images and len(set(susp_images)) != len(susp_images):
+        violations.append("suspension not bijective")
 
     angle_objs = []
     for ai, angle in enumerate(angles_raw):

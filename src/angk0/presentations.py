@@ -28,7 +28,9 @@ def zero_object(rank: int) -> ObjectVec:
 
 
 def basis_object(rank: int, index: int) -> ObjectVec:
-    return tuple(int(i == index) for i in range(rank))
+    if not 0 <= index < rank:
+        raise ValueError(f"basis index {index} out of range for rank {rank}")
+    return (0,) * index + (1,) + (0,) * (rank - index - 1)
 
 
 def add_objects(v: ObjectVec, w: ObjectVec) -> ObjectVec:
@@ -41,14 +43,15 @@ def add_objects(v: ObjectVec, w: ObjectVec) -> ObjectVec:
 class Suspension:
     """The suspension automorphism as a permutation of symbol indices.
 
-    images[i] is the index of the suspension of symbol i.  Bijectivity is
-    not enforced here; `validate_presentation` reports on it.
+    images[i] is the index of the suspension of symbol i; a list that is
+    not a permutation of 0..len-1 is refused.
     """
 
     images: tuple[int, ...]
 
-    def is_permutation(self) -> bool:
-        return sorted(self.images) == list(range(len(self.images)))
+    def __post_init__(self):
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError("suspension not bijective")
 
     def inverse(self) -> "Suspension":
         inv = [0] * len(self.images)
@@ -108,8 +111,6 @@ class Presentation:
         r = len(self.indec_names)
         if len(self.suspension.images) != r:
             raise ValueError("suspension image list must match symbol count")
-        if any(not 0 <= i < r for i in self.suspension.images):
-            raise ValueError("suspension image out of range")
         for a in self.angles:
             for v in a.vertices:
                 if len(v) != r:
@@ -146,8 +147,6 @@ def validate_presentation(p: Presentation) -> ValidationReport:
         violations.append("indecomposable names are not distinct")
     if any(not name for name in p.indec_names):
         violations.append("indecomposable names must be nonempty")
-    if not p.suspension.is_permutation():
-        violations.append("suspension not bijective")
     for idx, a in enumerate(p.angles):
         if len(a.vertices) != p.n:
             violations.append(

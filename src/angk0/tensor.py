@@ -27,31 +27,41 @@ from .presentations import (
 class TensorPresentation:
     """A presentation plus a symmetric tensor table on indecomposables.
 
-    `table` maps index pairs to objects; both orientations may be supplied
-    (the validator reports if they disagree).  `unit` is the monoidal unit
-    object.
+    `table` maps index pairs to objects, in one orientation or both; a pair
+    with no entry, or with two that differ, is refused with
+    InvalidTensorError.  The stored table holds both orientations of every
+    pair.  `unit` is the monoidal unit object.
     """
 
     __slots__ = ("base", "table", "unit")
 
     def __init__(self, base: Presentation, table, unit):
         self.base = base
-        normalized = {}
+        given, full, violations = {}, {}, []
         for (i, j), value in table.items():
             v = tuple(int(x) for x in value)
             if len(v) != base.rank:
                 raise ValueError("table value has wrong length")
-            normalized[(int(i), int(j))] = v
-        self.table = normalized
+            given[(int(i), int(j))] = v
+        for i in range(base.rank):
+            for j in range(i, base.rank):
+                a, b = base.indec_names[i], base.indec_names[j]
+                values = {given[key] for key in ((i, j), (j, i)) if key in given}
+                if len(values) == 1:
+                    full[(i, j)] = full[(j, i)] = values.pop()
+                elif values:
+                    violations.append(f"symmetry: table({a}, {b}) != table({b}, {a})")
+                else:
+                    violations.append(f"missing-entry: no product for ({a}, {b})")
+        if violations:
+            raise InvalidTensorError("tensor table is not complete and symmetric", violations)
+        self.table = full
         self.unit = object_vec(unit)
         if len(self.unit) != base.rank:
             raise ValueError("unit has wrong length")
 
-    def product_basis(self, i: int, j: int) -> ObjectVec | None:
-        """Table value for (i, j), falling back to the mirrored key."""
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        return self.table.get((j, i))
+    def product_basis(self, i: int, j: int) -> ObjectVec:
+        return self.table[(i, j)]
 
 
 def tensor_int_vectors(t: TensorPresentation, v, w) -> tuple[int, ...]:
@@ -68,8 +78,6 @@ def tensor_int_vectors(t: TensorPresentation, v, w) -> tuple[int, ...]:
             if not b:
                 continue
             prod = t.product_basis(i, j)
-            if prod is None:
-                raise ValueError(f"tensor table has no entry for pair ({i}, {j})")
             coeff = a * b
             for idx, x in enumerate(prod):
                 out[idx] += coeff * x
@@ -95,8 +103,9 @@ def _tensor_escapes(t: TensorPresentation, lattice: Lattice):
 def validate_tensor(t: TensorPresentation, relations: Lattice) -> ViolationReport:
     """Check the object-level tensor axioms.
 
-    Symmetry, unit law, associativity on all indecomposable triples,
-    suspension compatibility, and the angle-compatibility condition
+    The table is complete and symmetric by construction.  This checks the
+    unit law, associativity on all indecomposable triples, suspension
+    compatibility, and the angle-compatibility condition
     e_i (x) relations <= relations for the relation lattice of t.base,
     which is what makes class multiplication well-defined.
     """
@@ -104,19 +113,6 @@ def validate_tensor(t: TensorPresentation, relations: Lattice) -> ViolationRepor
     rank = p.rank
     names = p.indec_names
     violations = []
-    for i in range(rank):
-        for j in range(i, rank):
-            forward = t.table.get((i, j))
-            backward = t.table.get((j, i))
-            if forward is None and backward is None:
-                violations.append(f"missing-entry: no product for ({names[i]}, {names[j]})")
-            elif forward is not None and backward is not None and forward != backward:
-                violations.append(
-                    f"symmetry: table({names[i]}, {names[j]}) != table({names[j]}, {names[i]})"
-                )
-    if violations:
-        return ViolationReport(tuple(violations))
-
     for j in range(rank):
         e = basis_object(rank, j)
         if tensor_int_vectors(t, t.unit, e) != e:
@@ -246,7 +242,11 @@ def _object_prime(r: K0Ring, preimage) -> bool:
 
 
 def enumerate_ideals(r: K0Ring) -> list[RingIdeal]:
-    """Every ideal: the relation lattice closed under joins with principal ideals."""
+    """Every ideal: the relation lattice closed under joins with principal ideals.
+
+    `src/` has no independent ideal count: only `tests/support.ideals_by_filter`
+    checks that the list is exhaustive.
+    """
     if not r.group.is_finite:
         raise InfiniteGroupError("ideal enumeration requires a finite ring")
     subgroups = _join_closure(r.group, lambda v: _principal_rows(r, v))
@@ -286,7 +286,9 @@ def verify_tensor_correspondence(t: TensorPresentation) -> TensorCorrespondenceR
     Every ideal must induce a dense, complete subcategory.  The
     subcategory's lattice is the ideal's preimage, listed once by the
     enumeration, so it maps back to the ideal, is tensor-closed, and its
-    object-pair prime property is the ideal's prime flag.
+    object-pair prime property is the ideal's prime flag.  `src/` has no
+    independent ideal count: only `tests/support.ideals_by_filter` checks
+    that every ideal is listed.
     """
     r = ring(t)
     k = r.result

@@ -10,7 +10,9 @@ angles vertex by vertex, and density, completeness and summand closure
 of a subcategory lattice from bounded searches over small objects and
 listed angles.  `parse_document_two_pass` is the document parser as it
 was before it read each document in one pass: a type check of every
-field, then a second walk that resolves symbols.
+field, then a second walk that resolves symbols.  `table_violations` is
+the table scan `validate_tensor` ran first before `TensorPresentation`
+refused incomplete and asymmetric tables.
 """
 
 from __future__ import annotations
@@ -432,6 +434,23 @@ def random_valid_tensor(rng: random.Random, n=None):
     return TensorPresentation(p, table, unit)
 
 
+def table_violations(names, table) -> tuple[str, ...]:
+    """The missing and asymmetric pairs of a table keyed by index pairs,
+    one violation per unordered pair, in order of (i, j) with i <= j."""
+    violations = []
+    for i in range(len(names)):
+        for j in range(i, len(names)):
+            forward = table.get((i, j))
+            backward = table.get((j, i))
+            if forward is None and backward is None:
+                violations.append(f"missing-entry: no product for ({names[i]}, {names[j]})")
+            elif forward is not None and backward is not None and forward != backward:
+                violations.append(
+                    f"symmetry: table({names[i]}, {names[j]}) != table({names[j]}, {names[i]})"
+                )
+    return tuple(violations)
+
+
 @dataclass(frozen=True)
 class LoadedDocument:
     """What the two-pass parser returned: `files.LoadedDocument` without the
@@ -457,7 +476,7 @@ def parse_document_two_pass(doc) -> LoadedDocument:
 
     Structural problems (wrong JSON types) raise ParseError; semantic
     problems that are representable (unknown symbols, bad multiplicities,
-    non-covering suspension) are returned as violations.
+    a non-bijective suspension) are returned as violations.
     """
     _require(isinstance(doc, dict), "document: expected an object")
     _require("n" in doc, "field n: missing")
@@ -541,6 +560,8 @@ def parse_document_two_pass(doc) -> LoadedDocument:
     for name in names:
         if susp_images[index[name]] is None and name not in susp:
             violations.append(f"suspension: missing symbol {name!r}")
+    if None not in susp_images and len(set(susp_images)) != len(susp_images):
+        violations.append("suspension not bijective")
 
     angle_objs = []
     for ai, angle in enumerate(angles_raw):

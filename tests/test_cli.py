@@ -623,6 +623,8 @@ GOLDEN_FILES = {
     "long_int.json": '{"n": ' + "3" * 5001 + ', "indecomposables": ["x"]}',
     "long_int.map": '{"c": ' + "1" * 5001 + "}",
     "f2_wide.json": dict(F2, n=750_001),
+    "non_bijective.json": {"n": 3, "indecomposables": ["a", "b"],
+                           "suspension": {"a": "a", "b": "a"}},
 }
 
 # One run per report branch of every command.
@@ -669,6 +671,8 @@ GOLDEN_RUNS = {
     "witness-literal-long-int": ["witness", "f2.json", "--left", '{"x": ' + "1" * 5001 + "}",
                                  "--right", "{}"],
     "witness-self-bound": ["witness", "f2_wide.json", "--left", '{"x": 1}', "--right", '{"x": 1}'],
+    "validate-non-bijective": ["validate", "non_bijective.json"],
+    "k0-non-bijective": ["k0", "non_bijective.json"],
 }
 
 
@@ -918,6 +922,18 @@ GOLDEN = {
         "6828f632876c7ed7a8ae765704767b01e92300965e928a6f27b47bd6bee5d8e4",
         "",
         3,
+    ),
+    "validate-non-bijective": (
+        "4184ba29a45564a3291afadc40549d9fc4e79f6769eae71cfc9906c122be129c",
+        "e3a1fefcd6079b8e3de6d22310f798ce7e698b8945b556b060300f3d40ce2d5f",
+        "",
+        2,
+    ),
+    "k0-non-bijective": (
+        "b4920c152b3e3b25fcdfed4a591bbe2677a8cfb34b821dd1e0c02efb0efc5aac",
+        "09da5eb59411f04da971c3da2b93188bb131fa161bbfa6d3f3a63f95f5e231c3",
+        "",
+        2,
     ),
 }
 

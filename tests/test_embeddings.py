@@ -5,6 +5,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from angk0.embeddings import (
     Embedding,
+    _iterate,
     check_surjective,
     embedding_matrix,
     induced_hom,
@@ -235,3 +236,14 @@ class TestLargeArity:
             for _ in range(n - 2):
                 powered = [images[y] for y in powered]
             assert self.verdicts(n) == [y == x for x, y in enumerate(powered)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.permutations(range(r))), st.data())
+def test_iterate_matches_stepwise_power(images, data):
+    x = data.draw(st.integers(0, len(images) - 1))
+    power = data.draw(st.integers(0, 10**4))
+    y = x
+    for _ in range(power):
+        y = images[y]
+    assert _iterate(images, x, power) == y

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from angk0.files import parse_document
+from angk0.k0 import NotFound, Witness, k0, witness_search
 from angk0.presentations import (
     Angle,
     Presentation,
@@ -42,8 +44,14 @@ class TestValidate:
         assert any("n must be >= 3" in v for v in report.violations)
 
     def test_non_bijective_suspension(self):
-        report = validate_presentation(simple_presentation(images=[0, 0]))
-        assert any("suspension not bijective" in v for v in report.violations)
+        # refused when built, and reported by the parser, which then builds
+        # no presentation
+        with pytest.raises(ValueError, match="^suspension not bijective$"):
+            simple_presentation(images=[0, 0])
+        loaded = parse_document(
+            {"n": 3, "indecomposables": ["a", "b"], "suspension": {"a": "a", "b": "a"}})
+        assert loaded.violations == ("suspension not bijective",)
+        assert loaded.presentation is None
 
     def test_even_parity_reported(self):
         report = validate_presentation(simple_presentation(n=4))
@@ -98,6 +106,56 @@ def test_every_negative_entry_is_reported(p):
                 if any(x < 0 for v in a.vertices for x in v)]
     report = validate_presentation(p)
     assert [v for v in report.violations if "negative" in v] == negative
+
+
+IMAGE_LISTS = st.integers(0, 6).flatmap(
+    lambda r: st.lists(st.integers(-1, 6), min_size=r, max_size=r)
+    | st.permutations(range(r)))
+
+
+def is_permutation(images) -> bool:
+    return sorted(images) == list(range(len(images)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(IMAGE_LISTS)
+def test_suspension_accepts_exactly_the_permutations(images):
+    try:
+        s = Suspension(tuple(images))
+    except ValueError as exc:
+        assert str(exc) == "suspension not bijective"
+        assert not is_permutation(images)
+        return
+    assert is_permutation(images)
+    p = Presentation(n=3, indec_names=tuple("abcdef"[: len(images)]), suspension=s)
+    k0(p)
+    v = tuple(range(1, len(images) + 1))
+    assert suspend_object(p, suspend_object(p, v), -1) == v
+    assert isinstance(witness_search(p, v, v), Witness)
+    assert isinstance(witness_search(p, v, (0,) * len(v)), (Witness, NotFound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(IMAGE_LISTS)
+def test_parse_reports_a_resolved_non_bijective_suspension(images):
+    # an image outside 0..r-1 is written as an unknown symbol
+    names = "abcdef"[: len(images)]
+    doc = {"n": 3, "indecomposables": list(names),
+           "suspension": {names[i]: names[x] if 0 <= x < len(names) else "zz"
+                          for i, x in enumerate(images)}}
+    loaded = parse_document(doc)
+    resolved = all(0 <= x < len(names) for x in images)
+    assert ("suspension not bijective" in loaded.violations) == (
+        resolved and not is_permutation(images))
+    if not loaded.violations:
+        assert loaded.presentation.suspension.images == tuple(images)
+
+
+class TestBasisObject:
+    @pytest.mark.parametrize("rank, index", [(0, 0), (3, 3), (3, -1), (2, 5)])
+    def test_index_out_of_range(self, rank, index):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_object(rank, index)
 
 
 class TestSuspend:

@@ -26,7 +26,12 @@ from angk0.tensor import (
     validate_tensor,
     verify_tensor_correspondence,
 )
-from support import ideals_by_filter, object_prime_by_pairs, random_valid_tensor
+from support import (
+    ideals_by_filter,
+    object_prime_by_pairs,
+    random_valid_tensor,
+    table_violations,
+)
 
 
 def make(n, rank, images=None, angles=()):
@@ -58,25 +63,25 @@ def zero_ring_tensor():
 
 class TestValidate:
     def test_one_element_table(self):
-        assert validate_tensor(f2_tensor(), relation_lattice(f2_tensor().base)).valid
+        report = validate_tensor(f2_tensor(), relation_lattice(f2_tensor().base))
+        assert type(report) is ViolationReport
+        assert report.valid
 
     def test_missing_pair(self):
-        # only (a, a) is listed: the checks past the table scan need every pair
-        t = TensorPresentation(make(3, 2), {(0, 0): (1, 0)}, (1, 0))
-        report = validate_tensor(t, relation_lattice(t.base))
-        assert type(report) is ViolationReport
-        assert not report.valid
-        assert report.violations == ("missing-entry: no product for (a, b)",
-                                     "missing-entry: no product for (b, b)")
+        # only (a, a) is listed: construction needs every pair
+        with pytest.raises(InvalidTensorError) as refused:
+            TensorPresentation(make(3, 2), {(0, 0): (1, 0)}, (1, 0))
+        assert refused.value.violations == ("missing-entry: no product for (a, b)",
+                                            "missing-entry: no product for (b, b)")
 
     def test_asymmetric_table(self):
-        t = TensorPresentation(
-            make(3, 2),
-            {(0, 1): (1, 0), (1, 0): (0, 1), (0, 0): (1, 0), (1, 1): (0, 1)},
-            (1, 1),
-        )
-        report = validate_tensor(t, relation_lattice(t.base))
-        assert any(v.startswith("symmetry") for v in report.violations)
+        with pytest.raises(InvalidTensorError) as refused:
+            TensorPresentation(
+                make(3, 2),
+                {(0, 1): (1, 0), (1, 0): (0, 1), (0, 0): (1, 0), (1, 1): (0, 1)},
+                (1, 1),
+            )
+        assert refused.value.violations == ("symmetry: table(a, b) != table(b, a)",)
 
     def test_angle_compatibility(self):
         # relation lattice contains e_a; tensoring by b sends it to e_b,
@@ -87,6 +92,41 @@ class TestValidate:
         )
         report = validate_tensor(t, relation_lattice(t.base))
         assert any(v.startswith("angle-compatibility") for v in report.violations)
+
+
+@st.composite
+def tables(draw):
+    """A table on r = 0..4 symbols keyed by index pairs: each unordered pair
+    absent, in one orientation, or in both (equal or not), with values in
+    {0, 1}^r."""
+    rank = draw(st.integers(0, 4))
+    value = st.tuples(*[st.integers(0, 1)] * rank)
+    table = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            kind = draw(st.sampled_from(["absent", "forward", "backward", "both", "two"]))
+            if kind in ("forward", "both", "two"):
+                table[(i, j)] = draw(value)
+            if kind in ("backward", "two"):
+                table[(j, i)] = draw(value)
+            elif kind == "both":
+                table[(j, i)] = table[(i, j)]
+    return make(3, rank), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_construction_refuses_exactly_the_table_scan(case):
+    p, table = case
+    expected = table_violations(p.indec_names, table)
+    try:
+        t = TensorPresentation(p, table, (0,) * p.rank)
+    except InvalidTensorError as exc:
+        assert exc.violations == expected != ()
+        return
+    assert expected == ()
+    for (i, j), value in table.items():
+        assert t.product_basis(i, j) == t.product_basis(j, i) == value
 
 
 class TestTensorObjects:
