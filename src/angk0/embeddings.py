@@ -35,15 +35,6 @@ class Embedding:
     images: tuple[int, ...]
 
 
-def _iterate(images, x: int, power: int) -> int:
-    # The permutation images applied power times to x: the walk from x is a
-    # cycle, so the power reduces modulo its length.
-    cycle = [x]
-    while len(cycle) <= power and (y := images[cycle[-1]]) != x:
-        cycle.append(y)
-    return cycle[power % len(cycle)]
-
-
 def validate_embedding(e: Embedding) -> ViolationReport:
     """Check injectivity and the suspension intertwining.
 
@@ -61,11 +52,9 @@ def validate_embedding(e: Embedding) -> ViolationReport:
         return ViolationReport(tuple(violations))
     if len(set(e.images)) != len(e.images):
         violations.append("not injective")
-    power = e.domain.n - 2
+    powered = e.target.suspension.power(e.domain.n - 2)
     for x in range(e.domain.rank):
-        lhs = e.images[e.domain.suspension.images[x]]
-        rhs = _iterate(e.target.suspension.images, e.images[x], power)
-        if lhs != rhs:
+        if e.images[e.domain.suspension.images[x]] != powered[e.images[x]]:
             violations.append(
                 f"suspension intertwining fails at {e.domain.indec_names[x]}"
             )

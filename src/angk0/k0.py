@@ -201,8 +201,6 @@ def witness_search(p: Presentation, a, b):
             raise WitnessBoundError(
                 f"the self-witness has {fields} complement fields, more than {WITNESS_LIMIT}")
         return _built_witness(p, a, (0,) * (len(p.angles) + p.rank))
-    if any(x < 0 for angle in p.angles for v in angle.vertices for x in v):
-        raise ValueError("angle multiplicities must be nonnegative")
     c = reduced_solution(relation_rows(p), [x - y for x, y in zip(a, b)])
     if c is None:
         return NotFound()

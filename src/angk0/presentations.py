@@ -53,26 +53,31 @@ class Suspension:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("suspension not bijective")
 
-    def inverse(self) -> "Suspension":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Suspension(tuple(inv))
+    def power(self, k: int) -> tuple[int, ...]:
+        """The image tuple of S^k for any integer k: each symbol moves k
+        steps along its cycle, k reduced mod the cycle's length."""
+        if k == 1:
+            return self.images
+        out = [None] * len(self.images)
+        for start in range(len(out)):
+            if out[start] is not None:
+                continue
+            cycle = [start]
+            while (x := self.images[cycle[-1]]) != start:
+                cycle.append(x)
+            for i, x in enumerate(cycle):
+                out[x] = cycle[(i + k) % len(cycle)]
+        return tuple(out)
 
     def apply(self, v, times: int = 1) -> ObjectVec:
-        """Permute an integer vector by the suspension, `times` times."""
+        """Permute an integer vector by S^times."""
         v = tuple(v)
         if len(v) != len(self.images):
             raise ValueError("vector length does not match symbol count")
-        if times == 0:
-            return v
-        perm = self if times > 0 else self.inverse()
-        for _ in range(abs(times)):
-            out = [0] * len(v)
-            for i, x in enumerate(v):
-                out[perm.images[i]] = x
-            v = tuple(out)
-        return v
+        out = [0] * len(v)
+        for x, img in zip(v, self.power(times)):
+            out[img] = x
+        return tuple(out)
 
     def matrix(self) -> IntMatrix:
         """Row-vector action: row i is the basis vector at images[i]."""
@@ -99,7 +104,8 @@ class Presentation:
 
     The semantic angle collection is the closure of the listed angles and
     the trivial angles under rotation and direct sum; only generators are
-    stored.
+    stored.  Construction refuses repeated names and a negative vertex
+    entry with ValueError, as the parser refuses both.
     """
 
     n: int
@@ -109,12 +115,16 @@ class Presentation:
 
     def __post_init__(self):
         r = len(self.indec_names)
+        if len(set(self.indec_names)) != r:
+            raise ValueError("indecomposable names are not distinct")
         if len(self.suspension.images) != r:
             raise ValueError("suspension image list must match symbol count")
         for a in self.angles:
             for v in a.vertices:
                 if len(v) != r:
                     raise ValueError("angle vertex has wrong length")
+                if r and min(v) < 0:
+                    raise ValueError("angle multiplicities must be nonnegative")
 
     @property
     def rank(self) -> int:
@@ -139,12 +149,11 @@ class ValidationReport(ViolationReport):
 
 
 def validate_presentation(p: Presentation) -> ValidationReport:
-    """Structural checks plus the parity gate for the classification layer."""
+    """Reports n < 3, an empty name and an angle with other than n vertices
+    (construction refuses the rest), plus the parity gate."""
     violations = []
     if p.n < 3:
         violations.append(f"n must be >= 3, found {p.n}")
-    if len(set(p.indec_names)) != len(p.indec_names):
-        violations.append("indecomposable names are not distinct")
     if any(not name for name in p.indec_names):
         violations.append("indecomposable names must be nonempty")
     for idx, a in enumerate(p.angles):
@@ -152,8 +161,6 @@ def validate_presentation(p: Presentation) -> ValidationReport:
             violations.append(
                 f"angle {idx} has {len(a.vertices)} vertices, expected {p.n}"
             )
-        if p.rank and a.vertices and min(map(min, a.vertices)) < 0:
-            violations.append(f"angle {idx} has a negative multiplicity")
     parity = "odd" if p.n % 2 else "even"
     return ValidationReport(
         violations=tuple(violations),
@@ -163,7 +170,7 @@ def validate_presentation(p: Presentation) -> ValidationReport:
 
 
 def suspend_object(p: Presentation, v, k: int = 1) -> ObjectVec:
-    """Apply the suspension k times (negative k uses the inverse)."""
+    """S^k v for any integer k (negative k applies the inverse)."""
     return p.suspension.apply(v, k)
 
 

@@ -29,8 +29,9 @@ class TensorPresentation:
 
     `table` maps index pairs to objects, in one orientation or both; a pair
     with no entry, or with two that differ, is refused with
-    InvalidTensorError.  The stored table holds both orientations of every
-    pair.  `unit` is the monoidal unit object.
+    InvalidTensorError, and a key outside 0..rank-1 or a value of the wrong
+    length with ValueError.  The stored table holds both orientations of
+    every pair.  `unit` is the monoidal unit object.
     """
 
     __slots__ = ("base", "table", "unit")
@@ -39,10 +40,12 @@ class TensorPresentation:
         self.base = base
         given, full, violations = {}, {}, []
         for (i, j), value in table.items():
-            v = tuple(int(x) for x in value)
+            i, j, v = int(i), int(j), tuple(int(x) for x in value)
+            if not (0 <= i < base.rank and 0 <= j < base.rank):
+                raise ValueError(f"table key {(i, j)} out of range for rank {base.rank}")
             if len(v) != base.rank:
                 raise ValueError("table value has wrong length")
-            given[(int(i), int(j))] = v
+            given[(i, j)] = v
         for i in range(base.rank):
             for j in range(i, base.rank):
                 a, b = base.indec_names[i], base.indec_names[j]

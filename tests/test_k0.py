@@ -464,9 +464,9 @@ class TestWitnessOracle:
         assert copies(p, witness_search(p, a, b)) == c
 
     def test_negative_angle_multiplicity_rejected(self):
-        p = make(3, 1, angles=(Angle(((1,), (-1,), (0,))),))
-        with pytest.raises(ValueError):
-            witness_search(p, (1,), (2,))
+        # refused at construction, so witness_search never sees it
+        with pytest.raises(ValueError, match="^angle multiplicities must be nonnegative$"):
+            make(3, 1, angles=(Angle(((1,), (-1,), (0,))),))
 
     def test_oversized_witness_raises_before_it_is_built(self):
         # [x] = [x^1500001] in Z/2 needs 750,000 copies of the suspension row

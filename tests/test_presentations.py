@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,19 +67,13 @@ class TestValidate:
         assert any("vertices" in v for v in report.violations)
 
     def test_repeated_names(self):
-        p = Presentation(n=3, indec_names=("a", "a"), suspension=Suspension((0, 1)))
-        report = validate_presentation(p)
-        assert isinstance(report, ViolationReport)
-        assert not report.valid
-        assert report.violations == ("indecomposable names are not distinct",)
-        assert not report.classification_applies
+        with pytest.raises(ValueError, match="^indecomposable names are not distinct$"):
+            Presentation(n=3, indec_names=("a", "a"), suspension=Suspension((0, 1)))
 
     def test_negative_multiplicity(self):
-        p = simple_presentation(angles=(Angle(((1, 0), (0, -1), (-1, 0))),))
-        report = validate_presentation(p)
-        assert not report.valid
-        # one violation per angle, however many vertices are negative
-        assert report.violations == ("angle 0 has a negative multiplicity",)
+        # refused however many vertices are negative
+        with pytest.raises(ValueError, match="^angle multiplicities must be nonnegative$"):
+            simple_presentation(angles=(Angle(((1, 0), (0, -1), (-1, 0))),))
 
     def test_constructor_output_always_validates(self):
         rng = random.Random(23)
@@ -87,8 +83,9 @@ class TestValidate:
 
 @st.composite
 def presentations_with_negatives(draw):
-    """n = 3..8, r = 0..6, up to three angles with entries in [-2, 3]; some
-    with one negative entry, at the end of the last vertex of the last angle."""
+    """The arguments (n, r, angles) of a presentation: n = 3..8, r = 0..6, up
+    to three angles with entries in [-2, 3]; some with one negative entry,
+    at the end of the last vertex of the last angle."""
     n, r = draw(st.integers(3, 8)), draw(st.integers(0, 6))
     vertex = st.tuples(*[st.integers(-2, 3)] * r)
     angles = draw(st.lists(st.lists(vertex, min_size=n, max_size=n), max_size=3))
@@ -96,16 +93,44 @@ def presentations_with_negatives(draw):
         last = [tuple(map(abs, v)) for v in angles[-1]]
         last[-1] = last[-1][:-1] + (-1,)
         angles[-1] = last
-    return simple_presentation(n=n, rank=r, angles=tuple(Angle(tuple(a)) for a in angles))
+    return n, r, tuple(Angle(tuple(a)) for a in angles)
 
 
 @settings(max_examples=200, deadline=None)
 @given(presentations_with_negatives())
-def test_every_negative_entry_is_reported(p):
-    negative = [f"angle {i} has a negative multiplicity" for i, a in enumerate(p.angles)
-                if any(x < 0 for v in a.vertices for x in v)]
-    report = validate_presentation(p)
-    assert [v for v in report.violations if "negative" in v] == negative
+def test_every_negative_entry_is_reported(args):
+    n, r, angles = args
+    if any(x < 0 for a in angles for v in a.vertices for x in v):
+        with pytest.raises(ValueError, match="^angle multiplicities must be nonnegative$"):
+            simple_presentation(n=n, rank=r, angles=angles)
+    else:
+        assert simple_presentation(n=n, rank=r, angles=angles).angles == angles
+
+
+@st.composite
+def documents_with_defects(draw):
+    """Documents on names from "abc", some repeated, with the identity
+    suspension and up to three angles of multiplicities in -2..3, zero and
+    negatives included."""
+    names = draw(st.lists(st.sampled_from("abc"), max_size=4))
+    n = draw(st.integers(3, 6))
+    obj = st.dictionaries(st.sampled_from(names), st.integers(-2, 3)) if names else st.just({})
+    angles = draw(st.lists(st.lists(obj, min_size=n, max_size=n), max_size=3))
+    return {"n": n, "indecomposables": names, "suspension": {x: x for x in names},
+            "angles": angles}
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_with_defects())
+def test_parse_refuses_what_construction_refuses(doc):
+    # the parser reports a repeated name or a multiplicity <= 0 and builds
+    # nothing, so the CLI never reaches the refusals at construction
+    names = doc["indecomposables"]
+    defective = len(set(names)) != len(names) or any(
+        m <= 0 for angle in doc["angles"] for vertex in angle for m in vertex.values())
+    loaded = parse_document(doc)
+    assert bool(loaded.violations) == defective
+    assert (loaded.presentation is None) == defective
 
 
 IMAGE_LISTS = st.integers(0, 6).flatmap(
@@ -183,6 +208,37 @@ class TestSuspend:
             v = object_vec([rng.randint(0, 2) for _ in range(p.rank)])
             seen.add((v, suspend_object(p, v)))
         assert len({a for a, _ in seen}) == len({b for _, b in seen})
+
+
+    @pytest.mark.parametrize("images", [(1, 2, 3, 0), (1, 0, 3, 4, 2), (2, 0, 1, 4, 3, 5)])
+    def test_power_is_periodic_and_invertible(self, images):
+        s = Suspension(images)
+        period = math.lcm(*(len(c) for c in cycles(images)))
+        v = tuple(range(1, len(images) + 1))
+        for k in (*range(-13, 14), 10**9, -10**9, 10**9 + 7, -(10**9 + 7)):
+            assert s.apply(v, k) == s.apply(v, k % period)
+            assert s.apply(s.apply(v, k), -k) == v
+
+    def test_huge_power_is_fast(self):
+        p = simple_presentation(rank=4, images=[1, 2, 3, 0])
+        for k in (10**9, -10**9):
+            start = time.perf_counter()
+            assert suspend_object(p, (1, 2, 3, 4), k) == (1, 2, 3, 4)
+            assert time.perf_counter() - start < 0.01
+        assert suspend_object(p, (1, 2, 3, 4), 10**9 + 1) == (4, 1, 2, 3)
+        assert suspend_object(p, (1, 2, 3, 4), -10**9 - 1) == (2, 3, 4, 1)
+
+
+def cycles(images):
+    out, seen = [], set()
+    for x in range(len(images)):
+        if x not in seen:
+            cycle = [x]
+            while images[cycle[-1]] != x:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
+            out.append(cycle)
+    return out
 
 
 class TestRotate:

@@ -83,6 +83,18 @@ class TestValidate:
             )
         assert refused.value.violations == ("symmetry: table(a, b) != table(b, a)",)
 
+    @pytest.mark.parametrize("table", [
+        {(0, 0): (1,), (0, 1): (0,), (7, -2): (1,)},
+        {(0, 0): (1,), (7, -2): (1,)},
+        {(0, 0): (1,), (-1, 0): (1,)},
+        {(1, 0): (1,), (0, 0): (1,)},
+    ])
+    def test_key_out_of_range(self, table):
+        # refused like a value of the wrong length, not dropped
+        with pytest.raises(ValueError, match="out of range for rank 1") as refused:
+            TensorPresentation(make(3, 1), table, (1,))
+        assert type(refused.value) is ValueError
+
     def test_angle_compatibility(self):
         # relation lattice contains e_a; tensoring by b sends it to e_b,
         # which escapes the lattice
