@@ -128,7 +128,7 @@ class AngleTerm:
 
     kind "generator" refers to a listed angle by index; kind "trivial"
     carries the base object of a trivial angle.  rotation counts left
-    rotations applied to the referenced angle.
+    rotations applied to the referenced angle (right ones when negative).
     """
 
     kind: str
@@ -139,14 +139,14 @@ class AngleTerm:
 
 def resolve_term(p: Presentation, term: AngleTerm) -> Angle:
     if term.kind == "generator":
+        if not 0 <= term.index < len(p.angles):
+            raise ValueError(f"angle index {term.index} out of range for {len(p.angles)} angles")
         angle = p.angles[term.index]
     elif term.kind == "trivial":
         angle = trivial_angle(p, term.obj, 1)
     else:
         raise ValueError(f"unknown term kind {term.kind!r}")
-    for _ in range(term.rotation):
-        angle = rotate_angle(p, angle)
-    return angle
+    return rotate_angle(p, angle, term.rotation)
 
 
 def sum_of_terms(p: Presentation, terms) -> Angle:
@@ -233,7 +233,7 @@ def _built_witness(p: Presentation, a: ObjectVec, c) -> Witness:
         if any(counts):
             for j, x in enumerate(counts):
                 terms += [AngleTerm("trivial", 1, obj=basis_object(p.rank, j))] * x
-            add(total, enumerate(rotate_angle(p, trivial_angle(p, counts, 1)).vertices))
+            add(total, enumerate(trivial_angle(p, counts, 2).vertices))
 
     # even out vertex K = i + 1 with a trivial angle on vertices K - 1 and K
     for i in range(n - 1, 0, -1):

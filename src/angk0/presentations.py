@@ -174,9 +174,12 @@ def suspend_object(p: Presentation, v, k: int = 1) -> ObjectVec:
     return p.suspension.apply(v, k)
 
 
-def rotate_angle(p: Presentation, a: Angle) -> Angle:
-    """Left rotation at the object level: (A_2, ..., A_n, S A_1)."""
-    return Angle(a.vertices[1:] + (suspend_object(p, a.vertices[0]),))
+def rotate_angle(p: Presentation, a: Angle, k: int = 1) -> Angle:
+    """The k-fold left rotation (A_{k+1}, ..., A_n, S A_1, ..., S A_k), k any integer:
+    with q, s = divmod(k, n), S^q moves A_{s+1}, ..., A_n and S^(q+1) moves A_1, ..., A_s."""
+    q, s = divmod(k, len(a.vertices))
+    tail = a.vertices[s:] if q == 0 else tuple(suspend_object(p, v, q) for v in a.vertices[s:])
+    return Angle(tail + tuple(suspend_object(p, v, q + 1) for v in a.vertices[:s]))
 
 
 def direct_sum_angle(a: Angle, b: Angle) -> Angle:
@@ -196,7 +199,4 @@ def trivial_angle(p: Presentation, v, slot: int = 1) -> Angle:
     v = object_vec(v)
     if len(v) != p.rank:
         raise ValueError("object has wrong length")
-    angle = Angle((v, v) + (zero_object(p.rank),) * (p.n - 2))
-    for _ in range(slot - 1):
-        angle = rotate_angle(p, angle)
-    return angle
+    return rotate_angle(p, Angle((v, v) + (zero_object(p.rank),) * (p.n - 2)), slot - 1)

@@ -15,6 +15,7 @@ from angk0.cli import main
 from angk0.errors import WitnessBoundError
 from angk0.k0 import (
     WITNESS_LIMIT,
+    AngleTerm,
     NotFound,
     Witness,
     class_of,
@@ -24,6 +25,7 @@ from angk0.k0 import (
     object_for_element,
     relation_lattice,
     relation_rows,
+    resolve_term,
     sum_of_terms,
     suspension_rows,
     witness_search,
@@ -309,6 +311,14 @@ class TestWitnessSearch:
         check_witness(G2, (1,), (3,), w)
         assert equal_classes(G2_K0.relation_lattice, (1,), (3,))
 
+    def test_long_witness_over_a_three_cycle(self):
+        # [e_0] = [2 e_0 + e_1] for odd n: the evening-out terms rotate by up to n - 1
+        p = make(101, 3, images=(1, 2, 0))
+        w = witness_search(p, (1, 0, 0), (2, 1, 0))
+        assert isinstance(w, Witness)
+        assert max(t.rotation for t in w.left_terms + w.right_terms) == 100
+        check_witness(p, (1, 0, 0), (2, 1, 0), w)
+
     def test_not_found_when_classes_differ(self):
         p = make(4, 1)
         assert witness_search(p, (1,), (2,)) == NotFound()
@@ -347,6 +357,34 @@ class TestWitnessSearch:
                 assert isinstance(outcome, Witness)
                 check_witness(p, a, b, outcome)
                 built += 1
+
+
+class TestResolveTerm:
+    P = make(5, 3, images=(1, 2, 0), angles=(
+        Angle(tuple(basis_object(3, i % 3) for i in range(5))),
+        Angle(((1, 0, 0), (0, 1, 1), (2, 0, 0), (0, 0, 1), (1, 1, 0)))))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 11])
+    def test_negative_rotation_undoes_positive(self, k):
+        p = self.P
+        for term in (AngleTerm("generator", k, index=1), AngleTerm("trivial", k, obj=(1, 2, 0))):
+            back = resolve_term(p, AngleTerm(term.kind, -k, index=term.index, obj=term.obj))
+            base = resolve_term(p, AngleTerm(term.kind, 0, index=term.index, obj=term.obj))
+            assert back != base
+            assert rotate_angle(p, back, k) == base
+            assert rotate_angle(p, resolve_term(p, term), -k) == base
+
+    def test_rotation_minus_one_is_a_right_rotation(self):
+        p = self.P
+        a = p.angles[1]
+        s_inverse_last = suspend_object(p, a.vertices[-1], -1)
+        assert resolve_term(p, AngleTerm("generator", -1, index=1)) == Angle(
+            (s_inverse_last,) + a.vertices[:-1])
+
+    @pytest.mark.parametrize("p, index", [(P, -1), (P, -2), (P, 2), (P, 7), (G2, 0)])
+    def test_generator_index_out_of_range(self, p, index):
+        with pytest.raises(ValueError, match="out of range"):
+            resolve_term(p, AngleTerm("generator", 0, index=index))
 
 
 @st.composite

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from angk0.files import parse_document
 from angk0.k0 import NotFound, Witness, k0, witness_search
@@ -241,6 +241,37 @@ def cycles(images):
     return out
 
 
+def rotate_by_steps(p, a, k):
+    """k single left rotations (A_2, ..., A_n, S A_1), or -k single right
+    rotations (S^-1 A_n, A_1, ..., A_{n-1}) for negative k, with S read off
+    the image list: (S v)[images[i]] = v[i]."""
+    images = p.suspension.images
+    vs = list(a.vertices)
+    for _ in range(k):
+        moved = [0] * len(images)
+        for i, x in enumerate(vs[0]):
+            moved[images[i]] = x
+        vs = vs[1:] + [tuple(moved)]
+    for _ in range(-k):
+        vs = [tuple(vs[-1][images[i]] for i in range(len(images)))] + vs[:-1]
+    return Angle(tuple(vs))
+
+
+@st.composite
+def rotation_cases(draw):
+    """A presentation at n = 2..8 with any suspension on 1-6 symbols (most
+    have a fixed point, many several cycles), an angle, an object and a
+    rotation count k in -2n..3n."""
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, 6))
+    images = draw(st.permutations(range(rank)))
+    obj = st.tuples(*[st.integers(0, 3)] * rank)
+    p = simple_presentation(n=n, rank=rank, images=images)
+    event(f"{len(cycles(images))} cycle(s), "
+          f"{'a' if any(i == x for i, x in enumerate(images)) else 'no'} fixed point")
+    return p, Angle(draw(st.tuples(*[obj] * n))), draw(obj), draw(st.integers(-2 * n, 3 * n))
+
+
 class TestRotate:
     def test_trivial_angle_rotation(self):
         p = simple_presentation(rank=1)
@@ -264,6 +295,37 @@ class TestRotate:
         p = simple_presentation()
         z = Angle((zero_object(2),) * 3)
         assert rotate_angle(p, z) == z
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotation_cases())
+    def test_any_k_matches_single_steps(self, case):
+        p, a, v, k = case
+        assert rotate_angle(p, a, k) == rotate_by_steps(p, a, k)
+        assert rotate_angle(p, rotate_angle(p, a, k), -k) == a
+        for slot in range(1, p.n + 1):
+            expected = rotate_by_steps(p, trivial_angle(p, v, 1), slot - 1)
+            assert trivial_angle(p, v, slot) == expected
+            assert trivial_angle(p, v, slot) == rotate_angle(p, trivial_angle(p, v, 1), slot - 1)
+
+    def test_any_rotation_is_fast(self):
+        def fastest(f):
+            # best of three, so one garbage-collection pass cannot fail the bound
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                out = f()
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.01
+            return out
+
+        p = simple_presentation(n=2000, images=[1, 0])
+        a = fastest(lambda: trivial_angle(p, (1, 0), 2000))
+        assert a == Angle(((0, 0), (0, 1), (0, 1)) + ((0, 0),) * 1997)
+        # the rotations have period n * lcm(3, 2) = 42 on this angle
+        p = simple_presentation(n=7, rank=6, images=[1, 2, 0, 4, 3, 5])
+        a = Angle(tuple(tuple(range(i, i + 6)) for i in range(7)))
+        for k in (10**9, -10**9):
+            assert fastest(lambda: rotate_angle(p, a, k)) == rotate_by_steps(p, a, k % 42)
 
 
 class TestDirectSum:
