@@ -148,10 +148,8 @@ def cmd_k0(args):
     result = k0(p)
     group, relations = result.group, result.relation_lattice
     factors = list(group.invariant_factors)
-    classes = {
-        name: list(relations.reduce(basis_object(p.rank, i)))
-        for i, name in enumerate(p.indec_names)
-    }
+    units = relations.reduce_all(basis_object(p.rank, i) for i in range(p.rank))
+    classes = {name: list(v) for name, v in zip(p.indec_names, units)}
     results = {
         "invariant_factors": factors,
         "free_rank": group.free_rank,

@@ -13,13 +13,16 @@ infinite group, and the joins (`Lattice.join`, the ring's ideal closure,
 the prime test), whose rows are a Hermite basis plus a few more.  The
 modular pass works mod a known multiple D of the index of a full-rank
 lattice, so no entry outgrows D.  Every other `Lattice`, of any shape and
-rank, takes one Bareiss elimination with a column profile, which gives D;
-a Schur-complement step mod D leaves the modular pass only the trailing
-columns whose pivots are not units, and the pivotless columns are lifted
-exactly from the Bareiss rows.  `FgAbelianGroup` drops the unit pivots of
-its Hermite basis, which split off, and runs the Smith form on the block
-left, mod the group order when the group is finite.  `enumerate_subgroups`
-writes each subgroup's Hermite basis down and runs no elimination.
+rank, takes one Bareiss elimination with a column profile, which gives D; a
+Schur-complement step mod D leaves the modular pass only the columns past
+the last leading minor prime to D, and the pivotless columns are lifted
+exactly from the Bareiss rows.  Bareiss pivots are prime to 30 where they
+can be, so leading minors miss 2, 3 and 5, the primes D most often carries,
+and the modular pass gets one or two columns on random rows.
+`FgAbelianGroup` drops the unit pivots of its Hermite basis, which split
+off, and runs the Smith form on the block left, mod the group order when
+the group is finite.  `enumerate_subgroups` writes each subgroup's Hermite
+basis down and runs no elimination.
 """
 
 from __future__ import annotations
@@ -70,16 +73,10 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
-        if other.rows == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        cols = list(zip(*other.entries))
+        cols = list(zip(*other.entries)) or [()] * other.cols  # empty when no rows
         out = [
             [sum(a * b for a, b in zip(row, col)) for col in cols]
             for row in self.entries
@@ -237,22 +234,22 @@ def _bareiss(a, cols, rows=None):
     # and c, so a[t][P[t]] is the leading minor on P.  Column P[-1] keeps,
     # in every row from len(P) - 1 down, the minor on rows 0..len(P)-2, that
     # row and columns P.  Left of a row's pivot, pivotless columns hold 0 and
-    # pivot columns stale values.  A pivot of the previous pivot's size is
-    # preferred: rows with a zero in the pivot column then keep their entries
-    # up to sign, and on sparse rows most of them do.
+    # pivot columns stale values.  A pivot of the previous pivot's size comes
+    # first: rows with a zero in the pivot column keep their entries up to
+    # sign; else the first prime to 30, else the one sharing least with 30.
     sign, prev, piv = 1, 1, []
     for c in range(cols):
         t = len(piv)
         if t == len(a):
             break
-        p = None
+        p, g = None, 31
         for i in range(t, len(a)):
             x = a[i][c]
             if x == prev or x == -prev:
                 p = i
                 break
-            if x and p is None:
-                p = i
+            if x and g > 1 and (h := math.gcd(x, 30)) < g:
+                p, g = i, h
         if p is None:
             continue
         if p != t:
@@ -320,7 +317,9 @@ def _hermite_basis(rows, cols):
     #    A21 and A22 taken from the input rows: L_P has unit pivots on its
     #    first j columns, and the modular pass runs on S alone, whose lattice
     #    has L_P's index.  The top rows are [I, X] reduced by S's basis.
-    #    j = k exactly when D = 1, and then L_P = Z^k.
+    #    j = k exactly when D = 1, and then L_P = Z^k.  The minors are the
+    #    Bareiss pivots, prime to 30 where they can be: a prime p divides a
+    #    random integer with odds 1/p, so 2, 3 and 5 are what D shares most.
     # 3. Lift: every h in L is h_P T for T = E_P^-1 E_free, E the Bareiss
     #    rows 0..k-1 on P and on the pivotless columns; det(E_P) T is
     #    integral and comes from the same back-substitution as X.
@@ -557,19 +556,32 @@ class Lattice:
         v = [int(x) for x in vec]
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        # Pivot columns strictly increase down the basis, so one forward scan
-        # finds them, and later rows never touch earlier pivot columns, so
-        # greedy reduction lands in a fundamental domain (Cohen, GTM 138, 2.4.3).
-        col = 0
+        self._reduce_rows((v,))
+        return tuple(v)
+
+    def reduce_all(self, vecs) -> list[tuple[int, ...]]:
+        """`reduce` of each vector, in one pass over the basis."""
+        vs = [[int(x) for x in vec] for vec in vecs]
+        if any(len(v) != self.ambient_rank for v in vs):
+            raise ValueError("vector length does not match ambient rank")
+        self._reduce_rows(vs)
+        return [tuple(v) for v in vs]
+
+    def _reduce_rows(self, vs):
+        # Each basis row in turn reduces every list in vs, in place.  Pivot
+        # columns strictly increase down the basis, so one forward scan finds
+        # them, and later rows never touch earlier pivot columns, so greedy
+        # reduction lands in a fundamental domain (Cohen, GTM 138, 2.4.3).
+        r, col = self.ambient_rank, 0
         for row in self.basis:
             while not row[col]:
                 col += 1
-            if v[col]:
-                q = v[col] // row[col]
+            p = row[col]
+            for v in vs:
+                q = v[col] // p
                 if q:
-                    for k in range(col, self.ambient_rank):
+                    for k in range(col, r):
                         v[k] -= q * row[k]
-        return tuple(v)
 
     def __contains__(self, vec) -> bool:
         return not any(self.reduce(vec))

@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from sympy.polys.matrices import DomainMatrix
 
 from angk0.errors import InfiniteGroupError
+from angk0.k0 import relation_rows
 from angk0.lattices import (
     FgAbelianGroup,
     GroupHom,
@@ -25,6 +26,7 @@ from angk0.lattices import (
 )
 import angk0.lattices
 from angk0.lattices import _bareiss, _hermite_mod, _join_closure
+from angk0.presentations import Angle, Presentation, Suspension
 from support import (
     brute_force_membership,
     count_cosets_exhaustive,
@@ -209,7 +211,7 @@ class TestMembership:
 
     def test_dimension_mismatch(self):
         lat = Lattice(2, [(2, 0)])
-        for call in (lat.__contains__, lat.reduce):
+        for call in (lat.__contains__, lat.reduce, lambda v: lat.reduce_all([(1, 1), v])):
             with pytest.raises(ValueError, match="^vector length does not match ambient rank$"):
                 call((1, 0, 0))
 
@@ -277,6 +279,15 @@ class TestQuotient:
         lattice, rows, v, w = case
         diff = [a - b for a, b in zip(v, w)]
         assert (lattice.reduce(v) == lattice.reduce(w)) == in_row_span_by_minors(rows, diff)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_with_vectors())
+    def test_reduce_all_reduces_each_vector(self, case):
+        lattice, rows, v, w = case
+        vecs = [v, w, [a - b for a, b in zip(v, w)], [0] * lattice.ambient_rank, v]
+        assert lattice.reduce_all(vecs) == [lattice.reduce(x) for x in vecs]
+        assert lattice.reduce_all(iter(vecs)) == lattice.reduce_all(vecs)
+        assert lattice.reduce_all([]) == []
 
     @pytest.mark.parametrize("rows", [
         [[0, 2, 1, 0], [0, 0, 0, 3]],
@@ -924,6 +935,46 @@ def unit_leading_block_matrices(draw, max_dim=7):
     return n, rows
 
 
+@st.composite
+def smooth_d_matrices(draw, max_dim=7):
+    """(cols, rows): L U for L square with entries in [-3, 3] and U upper
+    triangular with diagonal entries 2^a 3^b 5^c, maybe with extra rows that
+    are such multiples: D carries powers of 2, 3 and 5, the primes the
+    Bareiss pivot rule steers around."""
+    n = draw(st.integers(1, max_dim))
+    smooth = st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
+                       st.integers(0, 5), st.integers(0, 3), st.integers(0, 2))
+    bound = draw(st.sampled_from([3, 2**40]))
+    upper = [[0] * i + [draw(smooth)]
+             + draw(st.lists(st.integers(-bound, bound), min_size=n - i - 1, max_size=n - i - 1))
+             for i in range(n)]
+    lower = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+    rows = [[sum(x * upper[l][j] for l, x in enumerate(row)) for j in range(n)] for row in lower]
+    for _ in range(draw(st.integers(0, 2))):
+        m = draw(smooth)
+        rows.append([m * x for x in draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))])
+    return n, rows
+
+
+@st.composite
+def sparse_odd_n_rows(draw, max_rank=10):
+    """(r, rows): the relation rows of an odd-n presentation on r <= 10
+    symbols, any suspension, up to 4 angles whose vertices have at most
+    three nonzero multiplicities: the r suspension rows e_j + S e_j make
+    up most of the rows."""
+    r = draw(st.integers(1, max_rank))
+    n = draw(st.sampled_from([3, 5, 7]))
+    entry = st.tuples(st.integers(0, r - 1), st.integers(1, 2))
+    vertex = st.lists(entry, max_size=3).map(
+        lambda es: tuple(sum(m for i, m in es if i == j) for j in range(r)))
+    angles = draw(st.lists(st.tuples(*[vertex] * n), max_size=4))
+    p = Presentation(n=n, indec_names=tuple(f"x{i}" for i in range(r)),
+                     suspension=Suspension(tuple(draw(st.permutations(range(r))))),
+                     angles=tuple(Angle(v) for v in angles))
+    return r, [list(row) for row in relation_rows(p)]
+
+
 class TestBareissSchurPipeline:
     """Lattice(r, rows) runs one Bareiss elimination with a column profile,
     a Schur-complement step mod D and an exact lift of the pivotless
@@ -960,6 +1011,35 @@ class TestBareissSchurPipeline:
         _, d, minors = bareiss_profile(rows, cols)
         assert d > 1 and math.gcd(minors[-2], d) == 1
         self.check(cols, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(smooth_d_matrices())
+    def test_d_with_powers_of_2_3_and_5(self, case):
+        self.check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_odd_n_rows())
+    def test_sparse_odd_n_relation_rows(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n, digits", [(32, 40), (12, 400)])
+    def test_modular_pass_gets_at_most_two_columns(self, monkeypatch, n, digits):
+        # Bareiss pivots prime to 30 keep the leading minors prime to D's
+        # small primes, so the Schur split lands near the rank: the first
+        # nonzero pivot gave the modular pass all n columns here.
+        rng = random.Random(7)
+        rows = [[rng.randint(-10**digits, 10**digits) for _ in range(n)] for _ in range(n)]
+        cols = []
+
+        def counted(rows, width, d):
+            cols.append(width)
+            return _hermite_mod(rows, width, d)
+
+        monkeypatch.setattr(angk0.lattices, "_hermite_mod", counted)
+        lattice = Lattice(n, rows)
+        monkeypatch.undo()
+        assert sum(cols) <= 2
+        assert lattice.index_in_ambient() == abs(determinant(IntMatrix(rows)))
 
     @pytest.mark.parametrize("r", [48, 64])
     @pytest.mark.parametrize("seed", [1, 2, 3])
