@@ -5,12 +5,14 @@ Exit codes: 0 success or verdict delivered, 1 I/O or parse error,
 bound).  Reports are deterministic and byte-identical across runs and
 thread settings.
 
-The argument parser is built once, when this module is imported, and every
-`main` call in the process reuses it.  A `--json` report is written by
-`files.report_json`, byte for byte as `json.dumps(sort_keys=True, indent=2)`
-would write it.  A node listed at several places of a report (a classify
-generator or certificate, a witness term) is one object, which the writer
-writes at most twice per indent and then reuses.
+The argument parser is built once, when this module is imported.  A call
+that names a command is parsed by that command's own parser alone; the full
+parser runs only to word a usage error.  Each command builds its results
+once and each call formats one report from them: the text view, or under
+`--json` the document `files.report_json` writes, byte for byte as
+`json.dumps(sort_keys=True, indent=2)` would.  A node listed at several
+places of a report (a classify generator or certificate, a witness term) is
+one object, which the writer writes at most twice per indent and reuses.
 """
 
 from __future__ import annotations
@@ -59,32 +61,31 @@ def _threads_valid() -> bool:
 class _Stop(Exception):
     """Ends a command early; its args are what the command would return.
 
-    Those are (digests, results, lines, exit code).  When results is None
-    the lines go to stderr and no report is printed.
+    Those are (digests, results, view, exit code), where view(results) gives
+    the text report's lines.  When results is None they go to stderr alone.
     """
 
 
+def _invalid_text(header: str, results) -> list:
+    return [header] + [f"  - {v}" for v in results["violations"]]
+
+
 def invalid(header: str, violations, digests: dict) -> _Stop:
-    lines = [header] + [f"  - {v}" for v in violations]
-    return _Stop(digests, {"valid": False, "violations": list(violations)}, lines, EXIT_VALIDATION)
+    return _Stop(digests, {"valid": False, "violations": list(violations)},
+                 functools.partial(_invalid_text, header), EXIT_VALIDATION)
 
 
 def refuse(reason: str, digests: dict) -> _Stop:
-    return _Stop(digests, {"verified": False, "reason": reason}, [f"unsupported: {reason}"],
-                 EXIT_UNSUPPORTED)
+    return _Stop(digests, {"verified": False, "reason": reason},
+                 lambda results: [f"unsupported: {results['reason']}"], EXIT_UNSUPPORTED)
 
 
 def _error(message, code: int) -> _Stop:
-    return _Stop({}, None, [f"error: {message}"], code)
+    return _Stop({}, None, lambda _: [f"error: {message}"], code)
 
 
-def _object_text(p, vec) -> str:
-    parts = [
-        f"{p.indec_names[i]}^{vec[i]}" if vec[i] > 1 else p.indec_names[i]
-        for i in range(p.rank)
-        if vec[i]
-    ]
-    return " + ".join(parts) if parts else "0"
+def _object_text(obj: dict) -> str:
+    return " + ".join(f"{x}^{k}" if k > 1 else x for x, k in obj.items()) or "0"
 
 
 def _cert_json(cert) -> dict:
@@ -112,8 +113,7 @@ def _load(path):
 def cmd_validate(args):
     loaded = _read(args.path)
     violations = list(loaded.violations)
-    parity = None
-    classification = False
+    parity, classification = None, False
     if loaded.presentation is not None:
         report = validate_presentation(loaded.presentation)
         violations.extend(report.violations)
@@ -132,14 +132,14 @@ def cmd_validate(args):
     digests = {}
     if loaded.presentation is not None and not violations:
         digests["presentation"] = files.digest(loaded)
-    lines = []
-    if violations:
-        lines.append("invalid:")
-        lines.extend(f"  - {v}" for v in violations)
-    else:
-        lines.append(f"valid ({parity} n; classification "
-                     f"{'applies' if classification else 'does not apply'})")
-    return digests, results, lines, EXIT_OK if not violations else EXIT_VALIDATION
+    return digests, results, _validate_text, EXIT_OK if not violations else EXIT_VALIDATION
+
+
+def _validate_text(results) -> list:
+    if results["violations"]:
+        return _invalid_text("invalid:", results)
+    applies = "applies" if results["classification_applies"] else "does not apply"
+    return [f"valid ({results['parity']} n; classification {applies})"]
 
 
 def cmd_k0(args):
@@ -147,26 +147,28 @@ def cmd_k0(args):
     p = loaded.presentation
     result = k0(p)
     group, relations = result.group, result.relation_lattice
-    factors = list(group.invariant_factors)
     units = relations.reduce_all(basis_object(p.rank, i) for i in range(p.rank))
     classes = {name: list(v) for name, v in zip(p.indec_names, units)}
     results = {
-        "invariant_factors": factors,
+        "invariant_factors": list(group.invariant_factors),
         "free_rank": group.free_rank,
         "order": group.order(),
         "relation_basis": relations.basis,
         "indecomposable_classes": classes,
     }
-    lines = [
-        f"invariant factors: {factors}",
-        f"free rank: {group.free_rank}",
-        f"order: {group.order() if group.is_finite else 'infinite'}",
+    return {"presentation": files.digest(loaded)}, results, _k0_text, EXIT_OK
+
+
+def _k0_text(results) -> list:
+    return [
+        f"invariant factors: {results['invariant_factors']}",
+        f"free rank: {results['free_rank']}",
+        f"order: {results['order'] or 'infinite'}",  # None if infinite
         "relation basis:",
+        *(f"  {list(r)}" for r in results["relation_basis"]),
+        "classes of indecomposables:",
+        *(f"  [{name}] = {c}" for name, c in results["indecomposable_classes"].items()),
     ]
-    lines.extend(f"  {list(r)}" for r in relations.basis)
-    lines.append("classes of indecomposables:")
-    lines.extend(f"  [{name}] = {classes[name]}" for name in p.indec_names)
-    return {"presentation": files.digest(loaded)}, results, lines, EXIT_OK
 
 
 def cmd_classify(args):
@@ -195,14 +197,12 @@ def cmd_classify(args):
         }
 
     entries = []
-    lines = [f"subgroups: {report.subgroup_count}"]
     for idx, entry in enumerate(report.entries):
-        sub_order = entry.subgroup.order()
         entries.append(
             {
                 "index": idx,
                 "preimage_basis": entry.subgroup.preimage.basis,
-                "order": sub_order,
+                "order": entry.subgroup.order(),
                 "dense": cert_json(entry.dense),
                 "complete": cert_json(entry.complete),
                 "round_trip": True,  # the subcategory stores the preimage
@@ -210,21 +210,24 @@ def cmd_classify(args):
                 "verified": entry.verified,
             }
         )
-        lines.append(
-            f"  subgroup {idx}: order {sub_order}, "
-            f"dense={entry.dense.status}, complete={entry.complete.status}, "
-            "round_trip=ok"
-        )
     all_verified = report.all_verified
-    lines.append(f"distinct subcategory lattices: {report.distinct_lattices}")
-    lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
         "subgroup_count": report.subgroup_count,
         "distinct_lattices": report.distinct_lattices,
         "all_verified": all_verified,
         "subgroups": entries,
     }
-    return digests, results, lines, EXIT_OK if all_verified else EXIT_VALIDATION
+    return digests, results, _classify_text, EXIT_OK if all_verified else EXIT_VALIDATION
+
+
+def _classify_text(results) -> list:
+    return [
+        f"subgroups: {results['subgroup_count']}",
+        *(f"  subgroup {e['index']}: order {e['order']}, dense={e['dense']['status']}, "
+          f"complete={e['complete']['status']}, round_trip=ok" for e in results["subgroups"]),
+        f"distinct subcategory lattices: {results['distinct_lattices']}",
+        "all verified" if results["all_verified"] else "VERIFICATION FAILED",
+    ]
 
 
 def cmd_ring(args):
@@ -232,7 +235,7 @@ def cmd_ring(args):
     p = loaded.presentation
     if not loaded.has_tensor_block:
         raise _Stop({}, {"valid": False, "violations": ["missing tensor block"]},
-                    ["invalid: missing tensor block"], EXIT_VALIDATION)
+                    lambda _: ["invalid: missing tensor block"], EXIT_VALIDATION)
     digests = {"presentation": files.digest(loaded)}
     # Checked in report order: the table, then n, then finiteness.
     try:
@@ -244,28 +247,21 @@ def cmd_ring(args):
     except InfiniteGroupError:
         raise refuse("InfiniteGroup", digests)
     r = report.ring
-    factors = list(r.group.invariant_factors)
 
     constants = {}
     for (i, j), value in sorted(r.structure_constants().items()):
         constants[files.table_key(p.indec_names[i], p.indec_names[j])] = value.vec
     ideals = []
-    lines = [
-        f"invariant factors: {factors}",
-        f"unit class: {list(r.unit_class.vec)}",
-        f"ideals: {report.ideal_count}",
-    ]
     cert_json = functools.cache(_cert_json)  # one node per certificate
     for idx, entry in enumerate(report.entries):
         preimage = entry.ideal.subgroup.preimage
-        ideal_order, full = entry.ideal.subgroup.order(), preimage.is_full()
         ideals.append(
             {
                 "index": idx,
                 "preimage_basis": preimage.basis,
-                "order": ideal_order,
+                "order": entry.ideal.subgroup.order(),
                 "prime": entry.ideal.prime,
-                "is_full_ring": full,
+                "is_full_ring": preimage.is_full(),
                 # enumerated ideals are joins of principal ideals, and
                 # their prime flag is the object-pair prime property.
                 "tensor_closed": True,
@@ -276,15 +272,9 @@ def cmd_ring(args):
                 "verified": entry.verified,
             }
         )
-        note = " (improper: the whole ring)" if full else ""
-        lines.append(
-            f"  ideal {idx}: order {ideal_order}, "
-            f"prime={entry.ideal.prime}{note}"
-        )
     all_verified = report.all_verified
-    lines.append("all verified" if all_verified else "VERIFICATION FAILED")
     results = {
-        "invariant_factors": factors,
+        "invariant_factors": list(r.group.invariant_factors),
         "unit_class": r.unit_class.vec,
         "structure_constants": constants,
         "ideal_count": report.ideal_count,
@@ -292,7 +282,18 @@ def cmd_ring(args):
         "all_verified": all_verified,
         "ideals": ideals,
     }
-    return digests, results, lines, EXIT_OK if all_verified else EXIT_VALIDATION
+    return digests, results, _ring_text, EXIT_OK if all_verified else EXIT_VALIDATION
+
+
+def _ring_text(results) -> list:
+    return [
+        f"invariant factors: {results['invariant_factors']}",
+        f"unit class: {list(results['unit_class'])}",
+        f"ideals: {results['ideal_count']}",
+        *(f"  ideal {e['index']}: order {e['order']}, prime={e['prime']}"
+          + (" (improper: the whole ring)" if e["is_full_ring"] else "") for e in results["ideals"]),
+        "all verified" if results["all_verified"] else "VERIFICATION FAILED",
+    ]
 
 
 def cmd_hom(args):
@@ -313,8 +314,7 @@ def cmd_hom(args):
         "target": files.digest(t_loaded, with_tensor=False),
         "domain": files.digest(c_loaded, with_tensor=False),
     }
-    violations = []
-    images = []
+    violations, images = [], []
     for name in c_pres.indec_names:
         if name not in mapping:
             violations.append(f"map: missing domain symbol {name!r}")
@@ -338,19 +338,21 @@ def cmd_hom(args):
             "witness": list(exc.witness),
             "reason": str(exc),
         }
-        return digests, results, [f"not well-defined: {exc}"], EXIT_UNSUPPORTED
-    surjective = is_surjective(hom)
+        return digests, results, lambda results: [f"not well-defined: {results['reason']}"], EXIT_UNSUPPORTED
     results = {
         "well_defined": True,
         "matrix": hom.matrix.entries,
-        "surjective": surjective,
+        "surjective": is_surjective(hom),
     }
-    lines = [
+    return digests, results, _hom_text, EXIT_OK
+
+
+def _hom_text(results) -> list:
+    return [
         "well-defined: yes",
-        f"matrix: {[list(r) for r in hom.matrix.entries]}",
-        f"surjective: {'yes' if surjective else 'no'}",
+        f"matrix: {[list(r) for r in results['matrix']]}",
+        f"surjective: {'yes' if results['surjective'] else 'no'}",
     ]
-    return digests, results, lines, EXIT_OK
 
 
 def _term_json(p, term) -> dict:
@@ -380,10 +382,9 @@ def cmd_witness(args):
         "equal": equal,
         "bound": args.bound,
     }
-    lines = [f"equal classes: {'yes' if equal else 'no'}"]
     if not equal:
         results.update(witness=None, searched=False)
-        return digests, results, lines + ["no search performed (classes differ)"], EXIT_OK
+        return digests, results, _witness_text, EXIT_OK
     try:
         # equal classes always have a witness; only its size can refuse it
         witness = witness_search(p, left, right)
@@ -397,94 +398,104 @@ def cmd_witness(args):
         "left_terms": [as_json[t] for t in witness.left_terms],
         "right_terms": [as_json[t] for t in witness.right_terms],
     }
-    lines.append("witness found:")
-    lines.append("  complements: " + ", ".join(_object_text(p, c) for c in witness.complements))
-    lines.append(f"  left decomposition: {len(witness.left_terms)} summand(s)")
-    lines.append(f"  right decomposition: {len(witness.right_terms)} summand(s)")
-    return digests, results, lines, EXIT_OK
+    return digests, results, _witness_text, EXIT_OK
 
 
-def _add_output_flags(sub):
+def _witness_text(results) -> list:
+    lines = [f"equal classes: {'yes' if results['equal'] else 'no'}"]
+    if not results["searched"]:
+        return lines + ["no search performed (classes differ)"]
+    witness = results["witness"]
+    return lines + [
+        "witness found:",
+        "  complements: " + ", ".join(_object_text(c) for c in witness["complements"]),
+        f"  left decomposition: {len(witness['left_terms'])} summand(s)",
+        f"  right decomposition: {len(witness['right_terms'])} summand(s)",
+    ]
+
+
+def _finish(sub, func):
+    """Add the output flags every command takes last, and the function it runs."""
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit a JSON report")
-    group.add_argument(
-        "--text", dest="json", action="store_false", help="emit text (default)"
-    )
-    sub.set_defaults(json=False)
+    group.add_argument("--text", dest="json", action="store_false", help="emit text (default)")
+    sub.set_defaults(json=False, func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="angk0",
-        description="Grothendieck groups of finitely presented angle categories",
-    )
+        prog="angk0", description="Grothendieck groups of finitely presented angle categories")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="validate a presentation file")
     p_validate.add_argument("path")
-    _add_output_flags(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
+    _finish(p_validate, cmd_validate)
 
     p_k0 = sub.add_parser("k0", help="compute the Grothendieck group")
     p_k0.add_argument("path")
-    _add_output_flags(p_k0)
-    p_k0.set_defaults(func=cmd_k0)
+    _finish(p_k0, cmd_k0)
 
-    p_classify = sub.add_parser(
-        "classify", help="verify the subgroup/subcategory correspondence"
-    )
+    p_classify = sub.add_parser("classify", help="verify the subgroup/subcategory correspondence")
     p_classify.add_argument("path")
     p_classify.add_argument("--max-order", type=int, default=256)
-    _add_output_flags(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    _finish(p_classify, cmd_classify)
 
     p_ring = sub.add_parser("ring", help="compute the Grothendieck ring and its ideals")
     p_ring.add_argument("path")
-    _add_output_flags(p_ring)
-    p_ring.set_defaults(func=cmd_ring)
+    _finish(p_ring, cmd_ring)
 
     p_hom = sub.add_parser("hom", help="check an induced homomorphism")
     p_hom.add_argument("t_path", help="target presentation (arity 3)")
     p_hom.add_argument("c_path", help="domain presentation")
     p_hom.add_argument("map_path", help="JSON object {domain symbol: target symbol}")
-    _add_output_flags(p_hom)
-    p_hom.set_defaults(func=cmd_hom)
+    _finish(p_hom, cmd_hom)
 
     p_witness = sub.add_parser("witness", help="build a class-equality witness")
     p_witness.add_argument("path")
     p_witness.add_argument("--left", required=True, help='object literal, e.g. {"a": 1}')
     p_witness.add_argument("--right", required=True, help="object literal")
     p_witness.add_argument("--bound", type=int, default=2, help="echoed; no effect on the witness")
-    _add_output_flags(p_witness)
-    p_witness.set_defaults(func=cmd_witness)
+    _finish(p_witness, cmd_witness)
     return parser
 
 
 _PARSER = build_parser()
+# command name -> the parser add_subparsers made for it
+_COMMANDS = next(a.choices for a in _PARSER._actions if a.dest == "command")
+
+
+def _text_report(view, results) -> str:
+    return "\n".join(view(results))
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    args, extra = parser.parse_known_args(argv[1:]) if parser else (None, argv)
+    if parser is None or extra:
+        args = _PARSER.parse_args(argv)  # words the usage error
+    args.command = argv[0]
     if not _threads_valid():
         print("error: ANGK0_THREADS must be a nonnegative integer", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        digests, results, lines, code = args.func(args)
+        digests, results, view, code = args.func(args)
     except _Stop as stop:
-        digests, results, lines, code = stop.args
+        digests, results, view, code = stop.args
     if results is None:
-        print("\n".join(lines), file=sys.stderr)
+        print("\n".join(view(results)), file=sys.stderr)
         return code
     if args.json:
-        document = {
+        report = files.report_json({
             "schema_version": files.SCHEMA_VERSION,
             "command": args.command,
             "digest": digests,
             "results": results,
-        }
-        lines = [files.report_json(document)]
+        })
+    else:
+        report = _text_report(view, results)
     try:
-        print("\n".join(lines))
+        print(report)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -178,7 +178,8 @@ def _smith_diagonal(a, cols, u=None, v=None, det=0):
     # Given det, |det a| for a square nonsingular a, and no
     # transforms, every pass runs mod det, as the row and column lattices of
     # each matrix in the loop have index det.
-    # The loop ends: each column+row pair strictly shrinks the leading
+    # The loop stops, before its first pass too, once a is diagonal and
+    # nonnegative with each entry dividing the next.  It ends: each column+row pair strictly shrinks the leading
     # unsettled diagonal entry or leaves its row and column clear for good,
     # and the fix-up shrinks one diagonal entry to a proper divisor, leaving
     # those before it alone.  The column pass goes first, as the row pass
@@ -188,6 +189,13 @@ def _smith_diagonal(a, cols, u=None, v=None, det=0):
         return []
     vt = None if v is None else [list(col) for col in zip(*v)]
     while True:
+        d = [a[i][i] for i in range(n)]
+        if min(d) >= 0 and not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a)):
+            t = next((i for i in range(n - 1) if (d[i + 1] % d[i] if d[i] else d[i + 1])), None)
+            if t is None:
+                break
+            for m in (a,) if u is None else (a, u):
+                m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
         at = [list(col) for col in zip(*a)]
         if det:
             at = _hermite_mod(at, len(a), det)
@@ -198,18 +206,9 @@ def _smith_diagonal(a, cols, u=None, v=None, det=0):
             a[:] = _hermite_mod(a, cols, det)
         else:
             _hermite_rows(a, cols, u)
-        # a is in row echelon form, so it is diagonal once no row holds an
-        # entry right of the diagonal.
-        if any(any(row[i + 1 :]) for i, row in enumerate(a)):
-            continue
-        t = next((i for i in range(n - 1) if a[i][i] and a[i + 1][i + 1] % a[i][i]), None)
-        if t is None:
-            break
-        for m in (a,) if u is None else (a, u):
-            m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
     if v is not None:
         v[:] = [list(row) for row in zip(*vt)]
-    return [a[i][i] for i in range(n)]
+    return d
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from angk0 import files
+from angk0 import cli, files
 from angk0.classify import CorrespondenceReport
-from angk0.cli import main
+from angk0.cli import build_parser, main
 from angk0.k0 import relation_rows, sum_of_terms, witness_search
 from angk0.lattices import FgAbelianGroup
 from angk0.tensor import TensorCorrespondenceReport
@@ -999,6 +999,75 @@ class TestGolden:
                 text_sha, json_sha, stderr, code = GOLDEN[case]
                 expected = (json_sha if as_json else text_sha, stderr, code)
                 assert run_golden(case, as_json, tmp_path, monkeypatch, capsys) == expected
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+    def test_each_mode_builds_one_format(self, case, tmp_path, monkeypatch, capsys):
+        # A --json run renders no text view, and a text run writes no JSON;
+        # a run that stops with an error on stderr renders neither.
+        texts = count_calls(monkeypatch, "cli", "_text_report")
+        documents = count_calls(monkeypatch, "files", "report_json")
+        views = [count_calls(monkeypatch, "cli", name) for name in list(vars(cli))
+                 if name.startswith("_") and name.endswith("_text")]
+        text_sha, json_sha, stderr, code = GOLDEN[case]
+        printed = int(text_sha != EMPTY_SHA)
+        assert run_golden(case, False, tmp_path, monkeypatch, capsys) == (text_sha, stderr, code)
+        assert (len(texts), len(documents)) == (printed, 0)
+        seen = sum(map(len, views))
+        assert run_golden(case, True, tmp_path, monkeypatch, capsys) == (json_sha, stderr, code)
+        assert (len(texts), len(documents), sum(map(len, views))) == (printed, printed, seen)
+
+
+# Malformed command lines: main must exit as the full parser does.
+USAGE_ERRORS = [
+    [], ["-h"], ["bogus"], ["--json", "k0", "f"],
+    ["k0"], ["k0", "-h"],
+    ["k0", "f", "extra"], ["k0", "f", "--bogus"], ["k0", "f", "--json", "--text"],
+    ["classify", "f", "--max-order", "many"], ["classify", "f", "--max-order=3", "--", "y"],
+    ["witness", "f", "--left", "{}"], ["hom", "a"],
+]
+
+
+def parser_exit(argv, capsys):
+    """(exit code, stdout, stderr) of the full parser on argv."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def main_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_error_is_the_full_parsers(self, argv, capsys):
+        assert main_exit(argv, capsys) == parser_exit(argv, capsys)
+
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "g1.json", G1)
+        monkeypatch.setattr(sys, "argv", ["angk0", "k0", path, "extra"])
+        assert main_exit(None, capsys) == parser_exit(None, capsys)
+        monkeypatch.setattr(sys, "argv", ["angk0", "k0", path, "--json"])
+        assert main(None) == 0
+        via_sys_argv = capsys.readouterr()
+        assert main(["k0", path, "--json"]) == 0
+        assert capsys.readouterr() == via_sys_argv
+
+    def test_a_call_is_parsed_once_by_its_command(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "f2.json", F2)
+        parsed = []
+        original = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *a, **kw: parsed.append(self.prog) or original(self, *a, **kw))
+        for args in (["k0", path], ["classify", path, "--max-order", "3", "--json"],
+                     ["witness", path, "--left", '{"x": 1}', "--right", '{"x": 3}', "--text"]):
+            assert main(args) == 0
+            capsys.readouterr()
+        assert parsed == ["angk0 k0", "angk0 classify", "angk0 witness"]
 
 
 ERROR_FILES = {

@@ -678,9 +678,63 @@ def shuffled_diagonals(draw):
     return cols, [[rows[i][j] for j in col_perm] for i in row_perm]
 
 
+@st.composite
+def near_diagonals(draw):
+    """(cols, rows): a diagonal matrix with signed entries, some zero and some
+    not dividing the next, padded with zero rows or columns, with at most two
+    entries overwritten anywhere (on or off the diagonal)."""
+    diag = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=5))
+    rows_n = len(diag) + draw(st.integers(0, 2))
+    cols = len(diag) + draw(st.integers(0, 2))
+    rows = [[0] * cols for _ in range(rows_n)]
+    for i, x in enumerate(diag):
+        rows[i][i] = x
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows_n - 1)), draw(st.integers(0, cols - 1))
+        rows[i][j] = draw(st.integers(-9, 9))
+    return cols, rows
+
+
+def refuse_hermite_passes(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("Hermite pass run")
+
+    for name in ("_hermite_rows", "_hermite_mod"):
+        monkeypatch.setattr(angk0.lattices, name, refused)
+
+
 class TestSmithLoop:
     """The Smith form alternates column and row Hermite eliminations; check
     the public form on every shape and on diagonals that need the fix-up."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_diagonals())
+    @example((1, [[-5]]))
+    @example((2, [[-2, 0], [0, 3]]))
+    @example((2, [[2, 0], [0, -4]]))
+    @example((2, [[0, 0], [0, 5]]))
+    @example((2, [[4, 0], [0, 2]]))
+    @example((3, [[1, 0, 0], [0, 0, 0], [0, 0, 3]]))
+    def test_diagonal_and_near_diagonal(self, case):
+        assert_smith_form(*case)
+
+    @pytest.mark.parametrize("rows", [[[5]], [[1, 0, 0], [0, 2, 0], [0, 0, 6]],
+                                      [[3, 0], [0, 0], [0, 0]], [[2, 0, 0], [0, 0, 0]], [[0]]])
+    def test_smith_form_input_runs_no_pass(self, rows, monkeypatch):
+        refuse_hermite_passes(monkeypatch)
+        m = IntMatrix(rows, cols=len(rows[0]))
+        d, u, v = smith_normal_form(m)
+        assert (d, u, v) == (m, IntMatrix.identity(m.rows), IntMatrix.identity(m.cols))
+
+    def test_cyclic_group_factors_run_no_pass(self, monkeypatch):
+        # Z/5, and Z/2 + Z/4 whose Hermite basis diag(2, 4) is its Smith form
+        groups = [FgAbelianGroup(Lattice(1, [(5,)])), FgAbelianGroup(Lattice(2, [(2, 0), (0, 4)]))]
+        refuse_hermite_passes(monkeypatch)
+        assert [g.invariant_factors for g in groups] == [(5,), (2, 4)]
+
+    def test_coprime_diagonal_still_runs_passes(self):
+        # diag(2, 3) is diagonal but not in Smith form: Z/2 + Z/3 = Z/6
+        assert FgAbelianGroup(Lattice(2, [(2, 0), (0, 3)])).invariant_factors == (6,)
 
     @settings(max_examples=150, deadline=None)
     @given(relation_matrices())
