@@ -66,7 +66,7 @@ def relation_rows(p: Presentation) -> list[tuple[int, ...]]:
 
 def relation_lattice(p: Presentation) -> Lattice:
     """Integer span of all listed Euler vectors and the suspension rows."""
-    return Lattice(p.rank, relation_rows(p))
+    return Lattice(p.rank, relation_rows(p), _checked=True)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ infinite group, and the joins (`Lattice.join`, the ring's ideal closure,
 the prime test), whose rows are a Hermite basis plus a few more.  The
 modular pass works mod a known multiple D of the index of a full-rank
 lattice, so no entry outgrows D.  Every other `Lattice`, of any shape and
-rank, takes one Bareiss elimination with a column profile, which gives D; a
+rank, takes one Bareiss elimination with a column profile, which gives D.
+At D = 1 (index 1) the basis on the pivot columns is the identity; else a
 Schur-complement step mod D leaves the modular pass only the columns past
-the last leading minor prime to D, and the pivotless columns are lifted
+the last leading minor prime to D.  The pivotless columns are lifted
 exactly from the Bareiss rows.  Bareiss pivots are prime to 30 where they
 can be, so leading minors miss 2, 3 and 5, the primes D most often carries,
-and the modular pass gets one or two columns on random rows.
+and the modular pass gets one or two columns on random rows.  A Bezout step
+takes `math.gcd` and one modular inverse (`xgcd`).
 `FgAbelianGroup` drops the unit pivots of its Hermite basis, which split
 off, and runs the Smith form on the block left, mod the group order when
 the group is finite.  `enumerate_subgroups` writes each subgroup's Hermite
@@ -34,19 +36,16 @@ from .errors import InfiniteGroupError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Invariants:      x * a +      y * b ==      g
-    #             next_x * a + next_y * b == next_g
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+    # x * a + y * b == g == gcd(a, b).  x inverts a / g mod m = |b| / g, taken
+    # in (-m/2, m/2] as Euclid's is; x = sign(a), or 1 for a = 0, when b = 0.
+    g = math.gcd(a, b)
+    if not b:
+        return (-1 if a < 0 else 1), 0, g
+    m = abs(b) // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m:
+        x -= m
+    return x, (g - x * a) // b, g
 
 
 class IntMatrix:
@@ -310,15 +309,16 @@ def _hermite_basis(rows, cols):
     #    and D, the gcd of the k x k minors on P that it leaves in column
     #    P[-1].  Projecting onto P is one-to-one on L, and D is a multiple of
     #    the index of the image L_P in Z^k.
-    # 2. Split the permuted rows at the largest j <= k whose leading minor on
-    #    P, det(A11), is prime to D.  Mod D, A11 is invertible, so L_P is
-    #    spanned by [I, X] and [0, S] with X = A11^-1 A12 and S = A22 - A21 X,
-    #    A21 and A22 taken from the input rows: L_P has unit pivots on its
-    #    first j columns, and the modular pass runs on S alone, whose lattice
-    #    has L_P's index.  The top rows are [I, X] reduced by S's basis.
-    #    j = k exactly when D = 1, and then L_P = Z^k.  The minors are the
-    #    Bareiss pivots, prime to 30 where they can be: a prime p divides a
-    #    random integer with odds 1/p, so 2, 3 and 5 are what D shares most.
+    # 2. When D = 1, L_P = Z^k: its basis is the identity, and step 3
+    #    follows at once.  Else split the permuted rows at the largest j < k
+    #    whose leading minor on P, det(A11), is prime to D.  Mod D, A11 is
+    #    invertible, so L_P is spanned by [I, X] and [0, S] with
+    #    X = A11^-1 A12 and S = A22 - A21 X, A21 and A22 taken from the input
+    #    rows: L_P has unit pivots on its first j columns, and the modular
+    #    pass runs on S alone, whose lattice has L_P's index.  The top rows
+    #    are [I, X] reduced by S's basis.  The minors are the Bareiss pivots,
+    #    prime to 30 where they can be: a prime p divides a random integer
+    #    with odds 1/p, so 2, 3 and 5 are what D shares most.
     # 3. Lift: every h in L is h_P T for T = E_P^-1 E_free, E the Bareiss
     #    rows 0..k-1 on P and on the pivotless columns; det(E_P) T is
     #    integral and comes from the same back-substitution as X.
@@ -330,29 +330,32 @@ def _hermite_basis(rows, cols):
         return []
     d = math.gcd(*(row[piv[-1]] for row in a[k - 1 :]))
     j = k
-    while j and math.gcd(a[j - 1][piv[j - 1]], d) != 1:
-        j -= 1
-    tail = piv[j:]
-    x, det = _adjugate_solve(a, piv, j, tail)
-    inv = pow(det, -1, d)
-    x = [[v * inv % d for v in row] for row in x]
-    schur = []
-    for row in orig[j:]:
-        acc = [row[c] for c in tail]
-        for c, v in zip(piv, x):
-            e = row[c]
-            if e:
-                acc = [y - e * z for y, z in zip(acc, v)]
-        schur.append(acc)
-    low = _hermite_mod(schur, k - j, d)
-    basis = []
-    for l, v in enumerate(x):
-        for n, h in enumerate(low):
-            q = v[n] // h[n]
-            if q:
-                v[n:] = [y - q * z for y, z in zip(v[n:], h[n:])]
-        basis.append([0] * l + [1] + [0] * (j - l - 1) + v)
-    basis += [[0] * j + h for h in low]
+    if d == 1:
+        basis = [[0] * l + [1] + [0] * (k - l - 1) for l in range(k)]
+    else:
+        while j and math.gcd(a[j - 1][piv[j - 1]], d) != 1:
+            j -= 1
+        tail = piv[j:]
+        x, det = _adjugate_solve(a, piv, j, tail)
+        inv = pow(det, -1, d)
+        x = [[v * inv % d for v in row] for row in x]
+        schur = []
+        for row in orig[j:]:
+            acc = [row[c] for c in tail]
+            for c, v in zip(piv, x):
+                e = row[c]
+                if e:
+                    acc = [y - e * z for y, z in zip(acc, v)]
+            schur.append(acc)
+        low = _hermite_mod(schur, k - j, d)
+        basis = []
+        for l, v in enumerate(x):
+            for n, h in enumerate(low):
+                q = v[n] // h[n]
+                if q:
+                    v[n:] = [y - q * z for y, z in zip(v[n:], h[n:])]
+            basis.append([0] * l + [1] + [0] * (j - l - 1) + v)
+        basis += [[0] * j + h for h in low]
     if k == cols:
         return basis
     pivots = set(piv)
@@ -522,16 +525,19 @@ class Lattice:
 
     __slots__ = ("ambient_rank", "basis")
 
-    def __init__(self, ambient_rank: int, rows=(), *, _plain=False):
-        # _plain marks int tuples of length ambient_rank, a Hermite basis plus
-        # a few rows (`join`, the join closure, the prime test): they skip
-        # validation, and the plain elimination finishes them faster than
+    def __init__(self, ambient_rank: int, rows=(), *, _checked=False, _plain=False):
+        # _checked marks int tuples of length ambient_rank (the relation rows,
+        # `is_surjective`), which skip validation.  _plain marks such rows
+        # that are a Hermite basis plus a few rows (`join`, the join closure,
+        # the prime test): the plain elimination finishes them faster than
         # Bareiss alone would run.
         if _plain:
             a = [list(row) for row in rows]
             _hermite_rows(a, ambient_rank)
         else:
-            a = _hermite_basis(IntMatrix(rows, cols=ambient_rank).entries, ambient_rank)
+            if not _checked:
+                rows = IntMatrix(rows, cols=ambient_rank).entries
+            a = _hermite_basis(rows, ambient_rank)
         self.ambient_rank = ambient_rank
         self.basis = tuple(tuple(row) for row in a if any(row))
 
@@ -886,5 +892,7 @@ class GroupHom:
 
 def is_surjective(hom: GroupHom) -> bool:
     """True iff the image lattice plus the target relations is all of Z^r."""
+    if hom.matrix.cols != hom.target.ambient_rank:
+        raise ValueError("matrix width does not match the target rank")
     rows = hom.matrix.entries + hom.target.relations.basis
-    return Lattice(hom.target.ambient_rank, rows).is_full()
+    return Lattice(hom.target.ambient_rank, rows, _checked=True).is_full()

@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from sympy.polys.matrices import DomainMatrix
 
 from angk0.errors import InfiniteGroupError
-from angk0.k0 import relation_rows
+from angk0.k0 import k0, relation_rows
 from angk0.lattices import (
     FgAbelianGroup,
     GroupHom,
@@ -50,6 +50,32 @@ def test_xgcd_bezout():
         assert g >= 0
         if a or b:
             assert a % g == 0 and b % g == 0
+
+
+def big_ints():
+    return st.just(0) | st.integers(0, 10**4).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_ints(), big_ints(), big_ints())
+@example(0, 0, 0)
+@example(-5, 0, 1)
+@example(0, -7, 1)
+@example(1, 2, 1)
+def test_xgcd_bezout_large(a, b, c):
+    # c makes a common factor, so that g is large too; |x| is Euclid's bound
+    for a, b in ((a, b), (a * c, b * c)):
+        x, y, g = xgcd(a, b)
+        assert x * a + y * b == g == math.gcd(a, b)
+        assert abs(x) <= 1 or 2 * g * abs(x) <= abs(b)
+
+
+def test_xgcd_edge_cases():
+    assert xgcd(0, 0) == (1, 0, 0)
+    assert xgcd(-5, 0) == (-1, 0, 5)
+    assert xgcd(5, 0) == (1, 0, 5)
+    assert xgcd(0, -7) == (0, -1, 7)
+    assert xgcd(-4, -6) == (1, -1, 2)
 
 
 class TestHermite:
@@ -1107,3 +1133,121 @@ class TestBareissSchurPipeline:
         assert time.perf_counter() - start < 1.0
         assert lattice.rank == sympy_rank(r, rows) == r - 2
         assert FgAbelianGroup(lattice).free_rank == 2
+
+
+@st.composite
+def tall_small_rows(draw, max_dim=8):
+    """(cols, rows): 1 to 4 more rows than columns, entries in [-3, 3]."""
+    cols = draw(st.integers(1, max_dim))
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return cols, draw(st.lists(row, min_size=cols + 1, max_size=cols + 4))
+
+
+@st.composite
+def unit_pivot_products(draw, max_dim=7):
+    """(cols, rows): U E, for E k echelon rows with unit pivots on columns P
+    and any entries right of them, pivotless columns among them, and U a
+    k x k product of elementary operations; square and unimodular when
+    k = cols.  Maybe with integer combinations of the rows added."""
+    cols = draw(st.integers(1, max_dim))
+    piv = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+    bound = draw(st.sampled_from([3, 2**40]))
+    entry = st.integers(-bound, bound)
+    rows = [[0] * c + [1] + draw(st.lists(entry, min_size=cols - c - 1, max_size=cols - c - 1))
+            for c in piv]
+    for _ in range(draw(st.integers(0, 4 * len(rows)))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(-3, 3))
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols)])
+    return cols, rows
+
+
+@st.composite
+def index_one_rows(draw, tries=8):
+    """(cols, rows) whose D, read after Bareiss, is 1: tall rows with
+    entries in [-3, 3], unimodular products of any rank, with pivotless
+    columns when the rank is below cols, and sparse odd-n relation rows.
+    A kind is drawn up to `tries` times until D = 1 (about a third of the
+    odd-n rows have it)."""
+    kind = draw(st.sampled_from([tall_small_rows, unit_pivot_products, sparse_odd_n_rows]))
+    for _ in range(tries):
+        cols, rows = draw(kind())
+        if bareiss_profile(rows, cols)[1] == 1:
+            return cols, rows
+    assume(False)
+
+
+class TestIndexOne:
+    """At D = 1 the lattice's image on the pivot columns P is Z^|P|, so
+    Lattice takes the identity there with no Schur step or modular pass and
+    lifts the pivotless columns from the Bareiss rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(index_one_rows())
+    @example((3, [[1, 2, 3], [0, 1, 4]]))
+    @example((4, [[0, 1, 5, 2], [0, 0, 0, 1], [0, 1, 5, 3]]))
+    def test_basis_is_hermite_form(self, case):
+        cols, rows = case
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=cols))
+        assert [list(r) for r in Lattice(cols, rows).basis] == nonzero_rows(h)
+
+    def test_tall_random_runs_nothing_after_bareiss(self, monkeypatch):
+        # the r = 48 input of test_tall_random_is_trivial
+        r, rng, calls = 48, random.Random(1), []
+        rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r + 4)]
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        for name in ("_hermite_mod", "_adjugate_solve"):
+            monkeypatch.setattr(angk0.lattices, name, counted(name, getattr(angk0.lattices, name)))
+        lattice = Lattice(r, rows)
+        monkeypatch.undo()
+        assert calls == []
+        assert lattice.is_full()
+
+
+class TestCheckedRows:
+    """Relation rows and is_surjective's rows are int tuples of the right
+    width, so they skip validation; the public constructor checks as ever,
+    and each of those callers still builds exactly one Lattice."""
+
+    def test_public_constructor_refuses_bad_rows(self):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            Lattice(2, [(1, 0), (1, 0, 0)])
+        with pytest.raises(ValueError, match="^expected 3 columns, found 2$"):
+            Lattice(3, [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            Lattice(2, [("a", 1)])
+        with pytest.raises(TypeError):
+            Lattice(2, [(None, 1)])
+
+    def test_one_lattice_per_k0_and_per_surjectivity_test(self, monkeypatch):
+        p = Presentation(n=3, indec_names=("x", "y"), suspension=Suspension((1, 0)),
+                         angles=(Angle(((1, 0), (0, 1), (1, 1))),))
+        calls = []
+        init = Lattice.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        group = k0(p).group
+        assert len(calls) == 1
+        assert group.relations == Lattice(2, relation_rows(p))
+        calls.clear()
+        assert is_surjective(GroupHom(group, group, IntMatrix.identity(2)))
+        assert len(calls) == 1
+
+    def test_surjectivity_refuses_a_matrix_of_the_wrong_width(self):
+        g = FgAbelianGroup(Lattice(2, [(2, 0), (0, 2)]))
+        with pytest.raises(ValueError, match="^matrix width does not match the target rank$"):
+            is_surjective(GroupHom(g, g, IntMatrix([[1, 0, 0], [0, 1, 0]])))
