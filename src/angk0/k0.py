@@ -23,12 +23,9 @@ from .presentations import (
     Presentation,
     add_objects,
     basis_object,
-    direct_sum_angle,
     object_vec,
-    rotate_angle,
     suspend_object,
     trivial_angle,
-    zero_angle,
     zero_object,
 )
 
@@ -135,25 +132,6 @@ class AngleTerm:
     rotation: int
     index: int | None = None
     obj: ObjectVec | None = None
-
-
-def resolve_term(p: Presentation, term: AngleTerm) -> Angle:
-    if term.kind == "generator":
-        if not 0 <= term.index < len(p.angles):
-            raise ValueError(f"angle index {term.index} out of range for {len(p.angles)} angles")
-        angle = p.angles[term.index]
-    elif term.kind == "trivial":
-        angle = trivial_angle(p, term.obj, 1)
-    else:
-        raise ValueError(f"unknown term kind {term.kind!r}")
-    return rotate_angle(p, angle, term.rotation)
-
-
-def sum_of_terms(p: Presentation, terms) -> Angle:
-    total = zero_angle(p)
-    for term in terms:
-        total = direct_sum_angle(total, resolve_term(p, term))
-    return total
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattices import IntMatrix
-
 ObjectVec = tuple[int, ...]
 
 
+def _int_entries(v) -> bool:
+    """Whether every entry of v is an int (a bool counts), by one sum in C: a
+    float, Fraction or Decimal entry makes the sum one too; a str fails it."""
+    try:
+        return type(sum(v)) is int
+    except TypeError:
+        return False
+
+
 def object_vec(values) -> ObjectVec:
-    out = tuple(int(x) for x in values)
-    if any(x < 0 for x in out):
+    out = tuple(values)
+    if not _int_entries(out):
+        raise ValueError("object multiplicities must be ints")
+    if min(out, default=0) < 0:
         raise ValueError("object multiplicities must be nonnegative")
-    return out
+    return tuple(map(int, out))
 
 
 def zero_object(rank: int) -> ObjectVec:
@@ -79,13 +88,6 @@ class Suspension:
             out[img] = x
         return tuple(out)
 
-    def matrix(self) -> IntMatrix:
-        """Row-vector action: row i is the basis vector at images[i]."""
-        n = len(self.images)
-        return IntMatrix(
-            [[int(j == self.images[i]) for j in range(n)] for i in range(n)], cols=n
-        )
-
 
 @dataclass(frozen=True)
 class Angle:
@@ -104,8 +106,8 @@ class Presentation:
 
     The semantic angle collection is the closure of the listed angles and
     the trivial angles under rotation and direct sum; only generators are
-    stored.  Construction refuses repeated names and a negative vertex
-    entry with ValueError, as the parser refuses both.
+    stored.  Construction refuses repeated names and a vertex entry that
+    is negative or not an int with ValueError, as the parser refuses them.
     """
 
     n: int
@@ -123,6 +125,8 @@ class Presentation:
             for v in a.vertices:
                 if len(v) != r:
                     raise ValueError("angle vertex has wrong length")
+                if not _int_entries(v):
+                    raise ValueError("angle multiplicities must be ints")
                 if r and min(v) < 0:
                     raise ValueError("angle multiplicities must be nonnegative")
 
@@ -186,10 +190,6 @@ def direct_sum_angle(a: Angle, b: Angle) -> Angle:
     if len(a.vertices) != len(b.vertices):
         raise ValueError("angles have different arity")
     return Angle(tuple(add_objects(x, y) for x, y in zip(a.vertices, b.vertices)))
-
-
-def zero_angle(p: Presentation) -> Angle:
-    return Angle((zero_object(p.rank),) * p.n)
 
 
 def trivial_angle(p: Presentation, v, slot: int = 1) -> Angle:

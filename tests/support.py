@@ -6,11 +6,13 @@ bounded memberships also from exhaustive small-coefficient searches,
 subgroup counts from subsets closed under addition, ring ideals from
 filtering every subgroup for tensor closure, prime flags from every pair
 of elements, witnesses from a scan that sums every multiset of pool
-angles vertex by vertex, and density, completeness and summand closure
-of a subcategory lattice from bounded searches over small objects and
-listed angles.  `parse_document_two_pass` is the document parser as it
-was before it read each document in one pass: a type check of every
-field, then a second walk that resolves symbols.  `table_violations` is
+angles vertex by vertex, witness sums from the slots each term's base
+vertices land in (`witness_sum`, linear in the witness), and density,
+completeness and summand closure of a subcategory lattice from bounded
+searches over small objects and listed angles.
+`parse_document_two_pass` is the document parser as it was before it
+read each document in one pass: a type check of every field, then a
+second walk that resolves symbols.  `table_violations` is
 the table scan `validate_tensor` ran first before `TensorPresentation`
 refused incomplete and asymmetric tables.
 """
@@ -247,6 +249,54 @@ def witness_search_by_scan(p: Presentation, a, b, bound: int):
         right_terms = tuple(pool[i][0] for i in match)
         return Witness(complements=(c1,) + tail, left_terms=left_terms, right_terms=right_terms)
     return NotFound()
+
+
+def _suspension_power(images, m):
+    """S^m as an image tuple, from a walk of each symbol's cycle: the
+    symbol steps m mod (its cycle's length) times forward."""
+    out = []
+    for x in range(len(images)):
+        length, y = 1, images[x]
+        while y != x:
+            length, y = length + 1, images[y]
+        for _ in range(m % length):
+            y = images[y]
+        out.append(y)
+    return tuple(out)
+
+
+def witness_sum(p: Presentation, terms) -> Angle:
+    """The vertex-wise sum of the terms' rotated angles, built sparsely.
+
+    Base vertex j of a term rotated by k lands at slot i, where
+    (q, i) = divmod(j - k, n), moved by S^(-q).  A trivial term's base angle
+    is (obj, obj, 0, ..., 0), so it touches two slots; a generator term
+    touches its angle's n vertices.  No `rotate_angle` or `Suspension.power`
+    call is made, so the sum checks both.  A generator index outside
+    0..len(p.angles) - 1 raises ValueError, and so does a trivial term whose
+    object is not a nonnegative int vector of length p.rank."""
+    total = [[0] * p.rank for _ in range(p.n)]
+    powers = {}
+    for term in terms:
+        if term.kind == "generator":
+            if not 0 <= term.index < len(p.angles):
+                raise ValueError(f"angle index {term.index} out of range for {len(p.angles)} angles")
+            base = enumerate(p.angles[term.index].vertices)
+        elif term.kind == "trivial":
+            obj = object_vec(term.obj)
+            if len(obj) != p.rank:
+                raise ValueError("object has wrong length")
+            base = ((0, obj), (1, obj))
+        else:
+            raise ValueError(f"unknown term kind {term.kind!r}")
+        for j, v in base:
+            q, i = divmod(j - term.rotation, p.n)
+            if -q not in powers:
+                powers[-q] = _suspension_power(p.suspension.images, -q)
+            image, slot = powers[-q], total[i]
+            for x, y in enumerate(v):
+                slot[image[x]] += y
+    return Angle(tuple(map(tuple, total)))
 
 
 def object_vectors_by_filter(rank: int, max_total: int, include_zero: bool = False):

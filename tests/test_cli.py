@@ -12,9 +12,10 @@ import pytest
 from angk0 import cli, files
 from angk0.classify import CorrespondenceReport
 from angk0.cli import build_parser, main
-from angk0.k0 import relation_rows, sum_of_terms, witness_search
+from angk0.k0 import relation_rows, witness_search
 from angk0.lattices import FgAbelianGroup
 from angk0.tensor import TensorCorrespondenceReport
+from support import witness_sum
 
 G1 = {
     "n": 3,
@@ -389,7 +390,7 @@ class TestWitness:
         assert (code, report["results"]["equal"]) == (0, True)
         w = witness_search(p, left, right)
         assert len(report["results"]["witness"]["left_terms"]) == len(w.left_terms)
-        sums = [sum_of_terms(p, terms).vertices for terms in (w.left_terms, w.right_terms)]
+        sums = [witness_sum(p, terms).vertices for terms in (w.left_terms, w.right_terms)]
         c1 = w.complements[0]
         assert sums[0] == (tuple(x + y for x, y in zip(left, c1)),) + w.complements[1:]
         assert sums[1] == (tuple(x + y for x, y in zip(right, c1)),) + w.complements[1:]

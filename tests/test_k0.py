@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,6 @@ from angk0.k0 import (
     object_for_element,
     relation_lattice,
     relation_rows,
-    resolve_term,
-    sum_of_terms,
     suspension_rows,
     witness_search,
 )
@@ -37,6 +36,7 @@ from angk0.presentations import (
     Suspension,
     add_objects,
     basis_object,
+    direct_sum_angle,
     object_vec,
     rotate_angle,
     suspend_object,
@@ -53,6 +53,7 @@ from support import (
     random_paired_presentation,
     random_presentation,
     witness_search_by_scan,
+    witness_sum,
 )
 
 
@@ -267,8 +268,8 @@ class TestObjectForElement:
 
 def check_witness(p, a, b, w):
     assert all(x >= 0 for c in w.complements for x in c)
-    left = sum_of_terms(p, w.left_terms)
-    right = sum_of_terms(p, w.right_terms)
+    left = witness_sum(p, w.left_terms)
+    right = witness_sum(p, w.right_terms)
     c1 = w.complements[0]
     assert left.vertices[0] == add_objects(object_vec(a), c1)
     assert right.vertices[0] == add_objects(object_vec(b), c1)
@@ -359,32 +360,92 @@ class TestWitnessSearch:
                 built += 1
 
 
+def random_terms(rng, p, count):
+    """(term, base angle) pairs with rotations in -23..23, generator and
+    trivial terms alike."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(-23, 23)
+        if p.angles and rng.random() < 0.5:
+            index = rng.randrange(len(p.angles))
+            out.append((AngleTerm("generator", k, index=index), p.angles[index]))
+        else:
+            obj = random_object(rng, p.rank)
+            out.append((AngleTerm("trivial", k, obj=obj), trivial_angle(p, obj, 1)))
+    return out
+
+
 class TestResolveTerm:
+    """One witness term resolved to its angle by the witness-sum oracle, which
+    is checked against `rotate_angle` of the term's base angle."""
+
     P = make(5, 3, images=(1, 2, 0), angles=(
         Angle(tuple(basis_object(3, i % 3) for i in range(5))),
         Angle(((1, 0, 0), (0, 1, 1), (2, 0, 0), (0, 0, 1), (1, 1, 0)))))
 
+    @staticmethod
+    def one(p, kind, k, index=None, obj=None):
+        return witness_sum(p, [AngleTerm(kind, k, index=index, obj=obj)])
+
     @pytest.mark.parametrize("k", [1, 2, 5, 7, 11])
     def test_negative_rotation_undoes_positive(self, k):
         p = self.P
-        for term in (AngleTerm("generator", k, index=1), AngleTerm("trivial", k, obj=(1, 2, 0))):
-            back = resolve_term(p, AngleTerm(term.kind, -k, index=term.index, obj=term.obj))
-            base = resolve_term(p, AngleTerm(term.kind, 0, index=term.index, obj=term.obj))
+        for kind, index, obj in (("generator", 1, None), ("trivial", None, (1, 2, 0))):
+            back = self.one(p, kind, -k, index, obj)
+            base = self.one(p, kind, 0, index, obj)
             assert back != base
             assert rotate_angle(p, back, k) == base
-            assert rotate_angle(p, resolve_term(p, term), -k) == base
+            assert rotate_angle(p, self.one(p, kind, k, index, obj), -k) == base
 
     def test_rotation_minus_one_is_a_right_rotation(self):
         p = self.P
         a = p.angles[1]
         s_inverse_last = suspend_object(p, a.vertices[-1], -1)
-        assert resolve_term(p, AngleTerm("generator", -1, index=1)) == Angle(
-            (s_inverse_last,) + a.vertices[:-1])
+        assert self.one(p, "generator", -1, index=1) == Angle((s_inverse_last,) + a.vertices[:-1])
 
     @pytest.mark.parametrize("p, index", [(P, -1), (P, -2), (P, 2), (P, 7), (G2, 0)])
     def test_generator_index_out_of_range(self, p, index):
         with pytest.raises(ValueError, match="out of range"):
-            resolve_term(p, AngleTerm("generator", 0, index=index))
+            self.one(p, "generator", 0, index=index)
+
+    @pytest.mark.parametrize("obj, message", [
+        ((1, -1, 0), "nonnegative"), ((1, 0.5, 0), "ints"), ((1, "1", 0), "ints"),
+        ((1, 0), "wrong length"), ((1, 0, 0, 0), "wrong length")])
+    def test_trivial_term_needs_an_object(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            self.one(self.P, "trivial", 1, obj=obj)
+
+    def test_one_term_is_the_rotated_base_angle(self):
+        # both sides are checked: the oracle's slot rule and rotate_angle
+        rng = random.Random(71)
+        for _ in range(200):
+            p = random_presentation(rng)
+            for term, base in random_terms(rng, p, 10):
+                assert witness_sum(p, [term]) == rotate_angle(p, base, term.rotation)
+
+
+class TestWitnessSum:
+    def test_sum_is_the_vertexwise_sum_of_rotated_angles(self):
+        rng = random.Random(72)
+        for _ in range(100):
+            p = random_presentation(rng)
+            pairs = random_terms(rng, p, rng.randint(0, 6))
+            total = Angle((zero_object(p.rank),) * p.n)
+            for term, base in pairs:
+                total = direct_sum_angle(total, rotate_angle(p, base, term.rotation))
+            assert witness_sum(p, [term for term, _ in pairs]) == total
+
+    def test_witness_at_n_2001_checks_fast(self):
+        p = make(2001, 3, images=(1, 2, 0))
+        w = witness_search(p, (1, 0, 0), (2, 1, 0))
+        assert max(t.rotation for t in w.left_terms + w.right_terms) == 2000
+        times = []
+        for _ in range(3):
+            # best of three, so one garbage-collection pass cannot fail the bound
+            start = time.perf_counter()
+            check_witness(p, (1, 0, 0), (2, 1, 0), w)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
 
 
 @st.composite

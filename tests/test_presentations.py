@@ -1,12 +1,14 @@
 import math
 import random
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from angk0.files import parse_document
-from angk0.k0 import NotFound, Witness, k0, witness_search
+from angk0.k0 import NotFound, Witness, class_of, k0, witness_search
 from angk0.presentations import (
     Angle,
     Presentation,
@@ -74,6 +76,12 @@ class TestValidate:
         # refused however many vertices are negative
         with pytest.raises(ValueError, match="^angle multiplicities must be nonnegative$"):
             simple_presentation(angles=(Angle(((1, 0), (0, -1), (-1, 0))),))
+
+    @pytest.mark.parametrize("entry", [1.0, 1.5, Fraction(1, 2), Decimal(1), 1j, "1", None])
+    def test_non_int_entry(self, entry):
+        # refused at construction, so k0's elimination never meets it
+        with pytest.raises(ValueError, match="^angle multiplicities must be ints$"):
+            simple_presentation(angles=(Angle(((1, 0), (0, 1), (entry, 1))),))
 
     def test_constructor_output_always_validates(self):
         rng = random.Random(23)
@@ -181,6 +189,37 @@ class TestBasisObject:
     def test_index_out_of_range(self, rank, index):
         with pytest.raises(ValueError, match="out of range"):
             basis_object(rank, index)
+
+
+NON_INTS = [1.5, 1.0, Fraction(3, 2), Decimal("1.5"), "1", None]
+
+
+class TestObjectVec:
+    def test_ints_kept(self):
+        assert object_vec([0, 3, 2]) == (0, 3, 2)
+        assert object_vec(iter([1, 2])) == (1, 2)
+        assert object_vec(()) == ()
+
+    def test_bools_become_ints(self):
+        out = object_vec([True, False, 2])
+        assert out == (1, 0, 2) and all(type(x) is int for x in out)
+
+    @pytest.mark.parametrize("entry", NON_INTS)
+    def test_non_int_entry_refused(self, entry):
+        with pytest.raises(ValueError, match="^object multiplicities must be ints$"):
+            object_vec([entry, 2])
+
+    @pytest.mark.parametrize("entry", NON_INTS)
+    def test_callers_refuse_a_non_int_entry(self, entry):
+        p = simple_presentation()
+        for call in (lambda: trivial_angle(p, (entry, 0)), lambda: class_of(k0(p), (entry, 0)),
+                     lambda: witness_search(p, (entry, 0), (1, 0))):
+            with pytest.raises(ValueError, match="must be ints"):
+                call()
+
+    def test_negative_entry_refused(self):
+        with pytest.raises(ValueError, match="^object multiplicities must be nonnegative$"):
+            object_vec([1, -1])
 
 
 class TestSuspend:
