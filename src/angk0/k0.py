@@ -2,7 +2,10 @@
 
 The group is the quotient of Z^(symbols) by the relation lattice spanned by
 the Euler vectors of the listed angles together with one suspension row per
-symbol (the Euler vector of a rotated trivial angle).  A class equality
+symbol (the Euler vector of a rotated trivial angle).  The suspension rows
+say only that S acts by -1 (odd n) or 1 (even n) along each of its cycles,
+so `relation_lattice` eliminates on one coordinate per cycle and writes the
+Hermite basis in Z^(symbols) down from that lattice's.  A class equality
 [A] = [B] is certified constructively: one reduced integer solve writes
 A - B over the relation rows (`lattices.reduced_solution`), and the
 coefficients become the two angle sums of a Thomason-style witness.  The
@@ -62,8 +65,50 @@ def relation_rows(p: Presentation) -> list[tuple[int, ...]]:
 
 
 def relation_lattice(p: Presentation) -> Lattice:
-    """Integer span of all listed Euler vectors and the suspension rows."""
-    return Lattice(p.rank, relation_rows(p), _checked=True)
+    """Integer span L of all listed Euler vectors and the suspension rows.
+
+    pi: Z^r -> Z^c has one coordinate eps per cycle of S and sends e_x,
+    x = S^i M for M the cycle's largest symbol, to (-1)^i eps for odd n and
+    to eps for even n.  The suspension rows span ker pi and, for odd n, 2 eps
+    for each odd cycle, so L = pi^-1(L') for L' spanned by those 2 eps and
+    the projected Euler rows.  L's Hermite basis is L''s on the maxima's
+    columns and, for each other x, e_x plus -pi(e_x) reduced by L'.
+    """
+    odd, cycles = p.n % 2, p.suspension.cycles()
+    c = len(cycles)
+    rows = [euler_vector(p, a) for a in p.angles]
+    if c < p.rank:
+        parts = [(cycle[::2], cycle[1::2]) if odd else (cycle, ()) for cycle in cycles]
+        rows = [tuple([sum(map(v.__getitem__, plus)) - sum(map(v.__getitem__, minus))
+                       for plus, minus in parts]) for v in rows]
+    if odd:
+        rows += [(0,) * k + (2,) + (0,) * (c - k - 1)
+                 for k, cycle in enumerate(cycles) if len(cycle) % 2]
+    small = Lattice(c, rows, _checked=True)
+    if c == p.rank:  # every symbol is fixed: pi is the identity
+        return small
+    pad, by_column, col = [c] * p.rank, [None] * p.rank, 0
+    for k, cycle in enumerate(cycles):
+        pad[cycle[0]] = k
+
+    def lifted(v):
+        # column x reads v at x's cycle when x is its maximum, else a 0
+        return list(map((*v, 0).__getitem__, pad))
+
+    for h in small.basis:
+        while not h[col]:
+            col += 1
+        by_column[cycles[col][0]] = tuple(lifted(h))
+    for k, cycle in enumerate(cycles):
+        # -pi(e_x) for x = S^i M, i > 0, is y eps with y = 1 for odd n and
+        # odd i, else -1: reduced by L' once for each y that occurs
+        tails = {y: lifted(small.reduce((0,) * k + (y,) + (0,) * (c - k - 1)))
+                 for y in ((1, -1) if odd else (-1,))[:len(cycle) - 1]}
+        for i, x in enumerate(cycle[1:], 1):
+            row = tails[1 if odd and i % 2 else -1].copy()
+            row[x] = 1
+            by_column[x] = tuple(row)
+    return Lattice._from_hermite(p.rank, tuple(filter(None, by_column)))
 
 
 @dataclass(frozen=True)

@@ -62,18 +62,28 @@ class Suspension:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("suspension not bijective")
 
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of S, each listed (M, S M, S^2 M, ...) from its
+        largest symbol M, in increasing order of M."""
+        images, out = self.images, []
+        seen = [False] * len(images)
+        for start in reversed(range(len(images))):
+            if not seen[start]:
+                cycle, x = [start], images[start]
+                while x != start:
+                    seen[x] = True
+                    cycle.append(x)
+                    x = images[x]
+                out.append(tuple(cycle))
+        return out[::-1]
+
     def power(self, k: int) -> tuple[int, ...]:
         """The image tuple of S^k for any integer k: each symbol moves k
         steps along its cycle, k reduced mod the cycle's length."""
         if k == 1:
             return self.images
-        out = [None] * len(self.images)
-        for start in range(len(out)):
-            if out[start] is not None:
-                continue
-            cycle = [start]
-            while (x := self.images[cycle[-1]]) != start:
-                cycle.append(x)
+        out = [0] * len(self.images)
+        for cycle in self.cycles():
             for i, x in enumerate(cycle):
                 out[x] = cycle[(i + k) % len(cycle)]
         return tuple(out)

@@ -18,6 +18,7 @@ from .presentations import (
     ObjectVec,
     Presentation,
     ViolationReport,
+    _int_entries,
     basis_object,
     object_vec,
     suspend_object,
@@ -29,9 +30,10 @@ class TensorPresentation:
 
     `table` maps index pairs to objects, in one orientation or both; a pair
     with no entry, or with two that differ, is refused with
-    InvalidTensorError, and a key outside 0..rank-1 or a value of the wrong
-    length with ValueError.  The stored table holds both orientations of
-    every pair.  `unit` is the monoidal unit object.
+    InvalidTensorError, and a key entry not an int in 0..rank-1 or a value
+    that `object_vec` refuses or of the wrong length with ValueError.  The
+    stored table holds both orientations of every pair.  `unit` is the
+    monoidal unit object.
     """
 
     __slots__ = ("base", "table", "unit")
@@ -40,7 +42,9 @@ class TensorPresentation:
         self.base = base
         given, full, violations = {}, {}, []
         for (i, j), value in table.items():
-            i, j, v = int(i), int(j), tuple(int(x) for x in value)
+            if not _int_entries((i, j)):
+                raise ValueError(f"table key {(i, j)} entries must be ints")
+            i, j, v = int(i), int(j), object_vec(value)
             if not (0 <= i < base.rank and 0 <= j < base.rank):
                 raise ValueError(f"table key {(i, j)} out of range for rank {base.rank}")
             if len(v) != base.rank:

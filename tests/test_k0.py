@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from angk0 import files
 from angk0.cli import main
@@ -29,7 +31,8 @@ from angk0.k0 import (
     suspension_rows,
     witness_search,
 )
-from angk0.lattices import Lattice, reduced_solution
+import angk0.lattices
+from angk0.lattices import FgAbelianGroup, IntMatrix, Lattice, hermite_normal_form, reduced_solution
 from angk0.presentations import (
     Angle,
     Presentation,
@@ -154,6 +157,91 @@ class TestRelationLattice:
                     for _ in range(p.n):
                         assert euler_vector(p, angle) in lat
                         angle = rotate_angle(p, angle)
+
+
+@st.composite
+def cycle_presentations(draw):
+    """Presentations up to r = 16 over a random permutation suspension (every
+    cycle length, fixed points, the identity), odd and even n, and from no
+    angles to six, sparse or dense."""
+    r = draw(st.integers(0, 16))
+    images = draw(st.one_of(st.just(list(range(r))), st.permutations(range(r))))
+    n = draw(st.sampled_from((3, 4, 5, 6)))
+    if draw(st.booleans()):
+        vertex = st.lists(st.integers(0, 3), min_size=r, max_size=r)
+    else:
+        vertex = st.dictionaries(st.integers(0, max(r - 1, 0)), st.integers(1, 2), max_size=3 if r else 0)
+        vertex = vertex.map(lambda d: [d.get(x, 0) for x in range(r)])
+    angles = draw(st.lists(st.lists(vertex, min_size=n, max_size=n), max_size=6))
+    return Presentation(n=n, indec_names=tuple(f"s{x}" for x in range(r)),
+                        suspension=Suspension(tuple(images)),
+                        angles=tuple(Angle(tuple(map(tuple, a))) for a in angles))
+
+
+def sparse_odd_presentation(rng, r, angles, n=3):
+    """A random permutation suspension and angles whose vertices hold 1-3
+    entries of 1-2: the tall, sparse relation rows of a large odd-n case."""
+    images = list(range(r))
+    rng.shuffle(images)
+    vertices = []
+    for _ in range(angles * n):
+        v = [0] * r
+        for _ in range(rng.randint(1, 3)):
+            v[rng.randrange(r)] = rng.randint(1, 2)
+        vertices.append(tuple(v))
+    return Presentation(n=n, indec_names=tuple(f"s{x}" for x in range(r)),
+                        suspension=Suspension(tuple(images)),
+                        angles=tuple(Angle(tuple(vertices[i:i + n])) for i in range(0, len(vertices), n)))
+
+
+class TestCycleQuotient:
+    """relation_lattice builds L' on one coordinate per suspension cycle and
+    writes L's Hermite basis in Z^r; the general Lattice is the reference."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(cycle_presentations())
+    def test_basis_and_invariant_factors_by_oracle(self, p):
+        rows = relation_rows(p)
+        lattice = relation_lattice(p)
+        assert lattice == Lattice(p.rank, rows)
+        h, _ = hermite_normal_form(IntMatrix(rows, cols=p.rank))
+        assert lattice.basis == tuple(row for row in h.entries if any(row))
+        group = FgAbelianGroup(lattice)
+        cycles = p.suspension.cycles()
+        event(f"{'odd' if p.n % 2 else 'even'} n, {'finite' if group.is_finite else 'infinite'}")
+        event("identity" if len(cycles) == p.rank else f"longest cycle {max(map(len, cycles))}")
+        if rows and p.rank:
+            factors = sympy_invariant_factors(Matrix(rows), domain=ZZ)
+            assert group.invariant_factors == tuple(int(x) for x in factors if x > 1)
+            assert group.free_rank == p.rank - Matrix(rows).rank()
+
+    def test_an_infinite_group_keeps_unreduced_entries_on_pivotless_columns(self):
+        # even n, cycles (1 0) and (2): L' is 0, so L is spanned by e_0 - e_1
+        p = make(4, 3, images=(1, 0, 2))
+        assert relation_lattice(p).basis == ((1, -1, 0),)
+        # odd n, a 2-cycle: e_0 + e_1
+        assert relation_lattice(make(3, 2, images=(1, 0))).basis == ((1, 1),)
+
+    def test_eliminations_see_one_column_per_cycle(self, monkeypatch):
+        p = sparse_odd_presentation(random.Random(11), 256, 64)
+        seen, c = set(), 0  # the cycle count, walked here
+        for x in range(p.rank):
+            c += x not in seen
+            while x not in seen:
+                seen.add(x)
+                x = p.suspension.images[x]
+        assert 1 < c < 16
+        calls = []
+        for name in ("_bareiss", "_hermite_mod"):
+            def counted(a, cols, *rest, f=getattr(angk0.lattices, name), name=name):
+                calls.append((name, cols))
+                return f(a, cols, *rest)
+            monkeypatch.setattr(angk0.lattices, name, counted)
+        lattice = relation_lattice(p)
+        monkeypatch.undo()
+        assert ("_bareiss", c) in calls
+        assert max(cols for _, cols in calls) <= c
+        assert lattice == Lattice(p.rank, relation_rows(p))
 
 
 class TestK0:

@@ -258,6 +258,12 @@ class TestSuspend:
             assert s.apply(v, k) == s.apply(v, k % period)
             assert s.apply(s.apply(v, k), -k) == v
 
+    @pytest.mark.parametrize("images", [(), (0,), (1, 2, 3, 0), (1, 0, 3, 4, 2), (2, 0, 1, 4, 3, 5)])
+    def test_cycles_start_at_their_largest_symbol(self, images):
+        # each cycle rotated to open at its largest symbol, ordered by it
+        expected = [tuple(c[c.index(max(c)):] + c[:c.index(max(c))]) for c in cycles(images)]
+        assert Suspension(images).cycles() == sorted(expected, key=max)
+
     def test_huge_power_is_fast(self):
         p = simple_presentation(rank=4, images=[1, 2, 3, 0])
         for k in (10**9, -10**9):

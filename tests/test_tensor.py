@@ -95,6 +95,22 @@ class TestValidate:
             TensorPresentation(make(3, 1), table, (1,))
         assert type(refused.value) is ValueError
 
+    @pytest.mark.parametrize("table, message", [
+        ({(0, 0): (1.5,)}, "^object multiplicities must be ints$"),
+        ({(0.9, 0): ("1",)}, r"^table key \(0.9, 0\) entries must be ints$"),
+        ({(0, 0): (-1,)}, "^object multiplicities must be nonnegative$"),
+    ], ids=["float-value", "float-key", "negative-value"])
+    def test_bad_entry_refused_not_coerced(self, table, message):
+        # refused as Presentation refuses a bad vertex, not passed through int()
+        with pytest.raises(ValueError, match=message) as refused:
+            TensorPresentation(make(3, 1), table, (1,))
+        assert type(refused.value) is ValueError
+
+    def test_bool_entries_become_ints(self):
+        t = TensorPresentation(make(3, 1), {(False, False): (True,)}, (1,))
+        assert t.table == {(0, 0): (1,)}
+        assert [type(x) for key, value in t.table.items() for x in key + value] == [int] * 3
+
     def test_angle_compatibility(self):
         # relation lattice contains e_a; tensoring by b sends it to e_b,
         # which escapes the lattice
